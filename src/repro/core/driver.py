@@ -39,6 +39,7 @@ from repro.dma import (
     UnmapRequest,
     UnmapResult,
     _map_result,
+    _tuple_new,
     _unmap_result,
 )
 from repro.memory.coherency import CoherencyDomain
@@ -220,8 +221,9 @@ class RIommuDriver:
         account.stage(Component.MAP_PAGE_TABLE, costs[1])
 
         account.stage(Component.MAP_OTHER, costs[2])
-        live[key] = RIommuMapping(
-            RIova(offset=0, rentry=rentry, rid=rid), phys_addr, size, direction
+        live[key] = _tuple_new(
+            RIommuMapping,
+            (_tuple_new(RIova, (0, rentry, rid)), phys_addr, size, direction),
         )
         self.maps += 1
         return (rentry << OFFSET_BITS) | (rid << (OFFSET_BITS + RENTRY_BITS))

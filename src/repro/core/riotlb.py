@@ -17,18 +17,22 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.core.structures import (
+    _DIR_BY_BITS,
+    _RPTE_STRUCT,
     MAX_OFFSET,
     MAX_RENTRY,
     MAX_RID,
+    MAX_RPTE_SIZE,
     OFFSET_BITS,
     RENTRY_BITS,
     RPTE_BYTES,
+    RRING_ENTRY_BYTES,
     RDevice,
     RIotlbEntry,
     RIova,
     RPte,
 )
-from repro.dma import DmaDirection
+from repro.dma import DmaDirection, direction_permits
 from repro.faults import BoundsFault, ContextFault, PermissionFault, TranslationFault
 from repro.obs.tracer import TRACE
 
@@ -225,7 +229,7 @@ class RIommuHardware:
                     )
         rpte = entry.rpte
         offset = iova.offset
-        if offset >= rpte.size or not rpte.direction.permits(direction):
+        if offset >= rpte.size or not direction_permits(rpte.direction, direction):
             self._io_page_fault(bdf, iova, entry, direction)
         return rpte.phys_addr + offset
 
@@ -235,32 +239,105 @@ class RIommuHardware:
         """Translate a packed rIOVA and bounds-check ``size`` bytes.
 
         Bit-identical to :meth:`rtranslate` on the start offset followed
-        (for ``size > 1``) by a second call on the last byte's offset —
-        but the common case (tracer off, the ring's entry cached and
-        current, access in bounds) is folded into one lookup with both
-        calls' counter updates applied at once.  Anything else — cold
-        entry, entry sync, stale trace emission, any fault — re-runs the
-        exact scalar pair.
+        (for ``size > 1``) by a second call on the last byte's offset.
+        With the tracer off, the two common cases run as one block that
+        applies both calls' state and counter changes at once:
+
+        * **hit** — the ring's entry is already current;
+        * **ring advance** — the DMA targets the entry right after the
+          current one and the prefetched ``next`` rPTE serves it
+          (Figure 10's sequential case: ``rtranslate`` →
+          ``riotlb_entry_sync`` → ``rprefetch`` → ``rtranslate(end)``).
+
+        Both require the access to be in bounds and in a permitted
+        direction.  Anything else — a cold entry, a sync walk, a
+        torn-down ``next``, prefetch off, an uncached requester-ID
+        lookup, dirty walker lines, any fault — re-runs the exact scalar
+        pair before touching any state.
         """
         rid = (packed >> (OFFSET_BITS + RENTRY_BITS)) & MAX_RID
         rentry = (packed >> OFFSET_BITS) & MAX_RENTRY
         offset = packed & MAX_OFFSET
         entry = self.riotlb._entries.get((bdf, rid))
-        hot = entry is not None and entry.rentry == rentry and not TRACE.active
-        if hot:
-            rpte = entry.rpte
+        if entry is not None and not TRACE.active:
             end = offset + size - 1 if size > 1 else offset
-            dv = int(rpte.direction)
-            av = int(direction)
-            if end < rpte.size and (dv & av) != 0 and (av & ~dv) == 0:
-                stats = self.riotlb.stats
-                n = 2 if size > 1 else 1
-                stats.translations += n
-                stats.hits += n
-                if not entry.backing_valid:
-                    stats.stale_hits += n
-                return rpte.phys_addr + offset
-        iova = RIova(offset=offset, rentry=rentry, rid=rid)
+            n = 2 if size > 1 else 1
+            if entry.rentry == rentry:
+                rpte = entry.rpte
+                if end < rpte.size and direction_permits(rpte.direction, direction):
+                    stats = self.riotlb.stats
+                    stats.translations += n
+                    stats.hits += n
+                    if not entry.backing_valid:
+                        stats.stale_hits += n
+                    return rpte.phys_addr + offset
+            else:
+                prefetched = entry.next
+                contexts = self.contexts
+                device = None
+                if (
+                    prefetched is not None
+                    and prefetched.valid
+                    and self.prefetch_enabled
+                    and contexts is not None
+                    and end < prefetched.size
+                    and direction_permits(prefetched.direction, direction)
+                ):
+                    cached = contexts._lookup_cache.get(bdf)
+                    if cached is not None:
+                        device = self._devices_by_table.get(cached[2])
+                if device is not None:
+                    ctx_coherency = contexts.coherency
+                    coherency = device.coherency
+                    ram = device.mem.ram
+                    # The rRING descriptor, really read from simulated RAM
+                    # (two u64 words, the same layout as an rPTE).
+                    table_addr, ring_size = _RPTE_STRUCT.unpack(
+                        ram.read(
+                            device.table_addr + rid * RRING_ENTRY_BYTES,
+                            RRING_ENTRY_BYTES,
+                        )
+                    )
+                    if (
+                        ring_size > 1
+                        and rentry == (entry.rentry + 1) % ring_size
+                        and (ctx_coherency.coherent or not ctx_coherency._dirty)
+                        and (coherency.coherent or not coherency._dirty)
+                    ):
+                        # Clean walker lines make every hardware_read a
+                        # bare counter bump, so the scalar chain's reads
+                        # replay as counts: two cached context-entry
+                        # reads, the descriptor read by both
+                        # riotlb_entry_sync and rprefetch (its bytes read
+                        # once above), and the next rPTE read below.
+                        stats = self.riotlb.stats
+                        stats.translations += n
+                        stats.hits += n
+                        stats.prefetch_hits += 1
+                        ctx_coherency.stats.hardware_reads += 2
+                        coherency.stats.hardware_reads += 3
+                        entry.rpte = prefetched
+                        entry.rentry = rentry
+                        entry.backing_valid = True
+                        # rprefetch: copy the following rPTE if valid.
+                        word0, word1 = _RPTE_STRUCT.unpack(
+                            ram.read(
+                                table_addr + ((rentry + 1) % ring_size) * RPTE_BYTES,
+                                RPTE_BYTES,
+                            )
+                        )
+                        entry.next = (
+                            RPte(
+                                word0,
+                                word1 & MAX_RPTE_SIZE,
+                                _DIR_BY_BITS[(word1 >> 30) & 0x3],
+                                True,
+                            )
+                            if (word1 >> 32) & 1
+                            else None
+                        )
+                        return prefetched.phys_addr + offset
+        iova = RIova(offset, rentry, rid)
         phys = self.rtranslate(bdf, iova, direction)
         if size > 1:
             self.rtranslate(bdf, iova.with_offset(offset + size - 1), direction)

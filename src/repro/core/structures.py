@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Optional
 
 from repro.dma import DmaDirection
@@ -68,22 +69,39 @@ def unpack_iova(iova: int) -> "RIova":
     )
 
 
-@dataclass(frozen=True)
-class RIova:
-    """Decoded rIOVA (Figure 9d)."""
+class RIova(tuple):
+    """Decoded rIOVA (Figure 9d).
 
-    offset: int
-    rentry: int
-    rid: int
+    Tuple-backed: the rIOMMU driver builds one per map, and the C-level
+    tuple constructor beats a frozen dataclass's guarded ``__setattr__``
+    stores by a wide margin on that path.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, offset: int, rentry: int, rid: int) -> "RIova":
+        return tuple.__new__(cls, (offset, rentry, rid))
+
+    def __getnewargs__(self):
+        # Spell out the __new__ args for pickle (simulation checkpoints
+        # carry these records in the driver's live-mapping table).
+        return tuple(self)
+
+    offset: int = property(itemgetter(0))
+    rentry: int = property(itemgetter(1))
+    rid: int = property(itemgetter(2))
+
+    def __repr__(self) -> str:
+        return f"RIova(offset={self[0]!r}, rentry={self[1]!r}, rid={self[2]!r})"
 
     def packed(self) -> int:
         """Re-pack into the 64-bit wire format."""
-        return pack_iova(self.offset, self.rentry, self.rid)
+        return pack_iova(self[0], self[1], self[2])
 
     def with_offset(self, offset: int) -> "RIova":
         """Same ring entry, different offset (callers may adjust offsets
         freely within the mapped size — paper §4, map return value)."""
-        return RIova(offset=offset, rentry=self.rentry, rid=self.rid)
+        return tuple.__new__(RIova, (offset, self[1], self[2]))
 
 
 @dataclass

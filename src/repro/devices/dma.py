@@ -271,8 +271,9 @@ class RIommuBackend(TranslationBackend):
         self, bdf: int, addr: int, size: int, direction: DmaDirection
     ) -> List[Tuple[int, int]]:
         if _datapath.COLUMNAR_ENABLED:
-            # Folded start+end translation (rtranslate_span falls back to
-            # the scalar pair itself for cold/sync/fault/traced cases).
+            # Folded start+end translation: rtranslate_span serves a hit
+            # and a prefetched ring advance itself, and runs the same
+            # scalar pair as below for cold/sync-walk/fault/traced cases.
             return [(self.hardware.rtranslate_span(bdf, addr, size, direction), size)]
         iova = unpack_iova(addr)
         phys = self.hardware.rtranslate(bdf, iova, direction)

@@ -45,7 +45,27 @@ class DmaDirection(enum.IntFlag):
 
     def permits(self, access: "DmaDirection") -> bool:
         """True if an access of direction ``access`` is allowed by ``self``."""
-        return bool(self & access) and (access & ~self) == 0
+        return direction_permits(self, access)
+
+
+#: The direction rule over raw 2-bit values, tabulated as
+#: ``_PERMITS[allowed][access]``: an access must share a bit with the
+#: mapping and set no bit the mapping lacks.
+_PERMITS = tuple(
+    tuple(allowed & access != 0 and access & ~allowed == 0 for access in range(4))
+    for allowed in range(4)
+)
+
+
+def direction_permits(allowed: int, access: int) -> bool:
+    """True if a mapping of direction ``allowed`` admits an ``access``.
+
+    Both are 2-bit direction values (a :class:`DmaDirection` or its
+    int).  This runs on every rIOMMU translation, so it indexes a table
+    instead of using ``IntFlag`` ``&``/``~``, which build a new member
+    per call.
+    """
+    return _PERMITS[allowed][access]
 
 
 class _Record(tuple):

@@ -1,5 +1,7 @@
 """Unit + property tests for the rIOMMU data structures (Figure 9)."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -47,6 +49,24 @@ def test_with_offset():
     iova = RIova(offset=0, rentry=5, rid=1)
     moved = iova.with_offset(99)
     assert moved.offset == 99 and moved.rentry == 5 and moved.rid == 1
+    assert type(moved) is RIova
+
+
+def test_riova_record_contract():
+    """RIova is tuple-backed but keeps the frozen-record contract."""
+    iova = RIova(offset=7, rentry=5, rid=1)
+    assert RIova(7, 5, 1) == iova
+    assert RIova(7, 5, 2) != iova
+    assert hash(RIova(7, 5, 1)) == hash(iova)
+    assert len({iova, RIova(7, 5, 1)}) == 1
+    assert repr(iova) == "RIova(offset=7, rentry=5, rid=1)"
+    assert iova.packed() == pack_iova(7, 5, 1)
+    with pytest.raises(AttributeError):
+        iova.offset = 0
+    with pytest.raises(AttributeError):
+        iova.extra = 0
+    again = pickle.loads(pickle.dumps(iova))
+    assert again == iova and type(again) is RIova
 
 
 @given(

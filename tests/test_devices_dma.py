@@ -12,7 +12,7 @@ from repro.devices import (
     IommuBackend,
     RIommuBackend,
 )
-from repro.dma import DmaDirection
+from repro.dma import DmaDirection, direction_permits
 from repro.faults import BoundsFault, IoPageFault
 from repro.iommu import BaselineIommuDriver, Iommu, make_bdf
 from repro.memory import MemorySystem
@@ -38,6 +38,26 @@ def test_direction_permits():
     assert not DmaDirection.TO_DEVICE.permits(DmaDirection.FROM_DEVICE)
     assert not DmaDirection.TO_DEVICE.permits(DmaDirection.BIDIRECTIONAL)
     assert DmaDirection.TO_DEVICE.permits(DmaDirection.TO_DEVICE)
+
+
+#: Listed by hand: iterating an IntFlag skips the empty flag and the
+#: composite BIDIRECTIONAL.
+ALL_DIRECTIONS = [
+    DmaDirection(0),
+    DmaDirection.TO_DEVICE,
+    DmaDirection.FROM_DEVICE,
+    DmaDirection.BIDIRECTIONAL,
+]
+
+
+@pytest.mark.parametrize("allowed", ALL_DIRECTIONS)
+@pytest.mark.parametrize("access", ALL_DIRECTIONS)
+def test_direction_permits_matches_intflag_rule(allowed, access):
+    """The raw-int rule agrees with the IntFlag definition on every pair."""
+    expected = bool(allowed & access) and (access & ~allowed) == 0
+    assert direction_permits(allowed, access) is expected
+    assert direction_permits(int(allowed), int(access)) is expected
+    assert allowed.permits(access) is expected
 
 
 # -- Descriptor encoding ----------------------------------------------------
