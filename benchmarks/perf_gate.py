@@ -9,13 +9,11 @@ process — once under the ``scalar`` reference build, once under the
 * neither run regresses past the history sentinel's rolling median
   for its *own* build (``--max-regression``, default 0.25).
 
-On top of the build gate, the event-kernel gate checks the scheduler
-refactor's contract on every run:
+On top of the build gate, the event-kernel gate checks the sharding
+contract on every run:
 
-* every representative cell is bit-identical between the legacy loop
-  engine and the event kernel (``to_dict`` equality), and the
-  multi-ring cell is bit-identical between serial and sharded
-  execution;
+* the multi-ring cell is bit-identical (``to_dict`` equality) between
+  serial and sharded execution;
 * on hosts with enough cores (>= the shard count), the sharded run of
   the multi-ring cell is at least ``--min-shard-speedup`` (default
   1.5×) faster than the serial reference.  On smaller hosts the
@@ -88,40 +86,23 @@ def cell_seconds(
     return None
 
 
-def check_engine_parity(
-    cells: Sequence[Tuple[str, str, str]] = REPRESENTATIVE_CELLS,
-    shards: int = 4,
-) -> Tuple[List[Dict[str, object]], List[str]]:
-    """Bit-parity sweep: loop vs event kernel, serial vs sharded.
+def check_engine_parity(shards: int = 4) -> Tuple[List[Dict[str, object]], List[str]]:
+    """Bit-parity of the multi-ring cell: serial event heap vs sharded.
 
-    Every cell must produce an identical ``to_dict`` under the legacy
-    loop engine and the event kernel; the multi-ring sharding cell must
-    additionally be identical between serial and ``shards``-way sharded
-    execution.  Returns ``(rows, errors)``.
+    Returns ``(rows, errors)``.
     """
-    rows: List[Dict[str, object]] = []
-    errors: List[str] = []
-    loop_config = RunConfig.from_env(fast=True, engine="loop", shards=1)
-    events_config = RunConfig.from_env(fast=True, engine="events", shards=1)
-    sharded_config = RunConfig.from_env(fast=True, engine="events", shards=shards)
-    for setup_name, benchmark, mode_label in cells:
-        setup = setup_by_name(setup_name)
-        mode = Mode(mode_label)
-        key = perf_history.cell_key(setup_name, benchmark, mode_label)
-        loop = run_with_config(setup, mode, benchmark, loop_config)
-        events = run_with_config(setup, mode, benchmark, events_config)
-        row = {"cell": key, "loop_vs_events": loop.to_dict() == events.to_dict()}
-        if not row["loop_vs_events"]:
-            errors.append(f"{key}: event kernel diverges from the loop engine")
-        if (setup_name, benchmark, mode_label) == SHARDING_CELL:
-            sharded = run_with_config(setup, mode, benchmark, sharded_config)
-            row["serial_vs_sharded"] = events.to_dict() == sharded.to_dict()
-            if not row["serial_vs_sharded"]:
-                errors.append(
-                    f"{key}: {shards}-shard run diverges from the serial reference"
-                )
-        rows.append(row)
-    return rows, errors
+    setup_name, benchmark, mode_label = SHARDING_CELL
+    setup, mode = setup_by_name(setup_name), Mode(mode_label)
+    key = perf_history.cell_key(setup_name, benchmark, mode_label)
+    serial, sharded = (
+        run_with_config(setup, mode, benchmark, RunConfig.from_env(fast=True, shards=n))
+        for n in (1, shards)
+    )
+    row = {"cell": key, "serial_vs_sharded": serial.to_dict() == sharded.to_dict()}
+    errors = []
+    if not row["serial_vs_sharded"]:
+        errors.append(f"{key}: {shards}-shard run diverges from the serial reference")
+    return [row], errors
 
 
 def shard_speedup_skip_reason(
@@ -271,9 +252,8 @@ def run_gate(
                 errors.append(f"[{build}] {error}")
             perf_history.append_history(reports[build], history_path)
 
-    # The event-kernel gate: bit-parity (loop vs events, serial vs
-    # sharded) on every run, shard wall-clock speedup where the host
-    # has the cores to show one.
+    # The event-kernel gate: serial vs sharded bit-parity on every run,
+    # shard wall-clock speedup where the host has the cores to show one.
     parity_rows, parity_errors = check_engine_parity(shards=shards)
     errors.extend(parity_errors)
     shard_speedup, shard_errors = check_shard_speedup(min_shard_speedup, shards)
@@ -447,13 +427,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"columnar {row['columnar_seconds']}s "
             f"-> {row['speedup_vs_scalar']}x"
         )
-    parity_ok = sum(
-        1 for row in gate_report["engine_parity"] if row["loop_vs_events"]
-    )
-    print(
-        f"engine parity: {parity_ok}/{len(gate_report['engine_parity'])} "
-        f"cells bit-identical loop vs events"
-    )
+    for row in gate_report["engine_parity"]:
+        print(f"{row['cell']}: serial == sharded: {row['serial_vs_sharded']}")
     shard = gate_report["shard_speedup"]
     if shard.get("skipped"):
         print(

@@ -171,8 +171,8 @@ def time_sharding(
     setup_name, benchmark, mode_label = cell
     setup = setup_by_name(setup_name)
     mode = Mode(mode_label)
-    serial_config = RunConfig.from_env(fast=fast, engine="events", shards=1)
-    sharded_config = RunConfig.from_env(fast=fast, engine="events", shards=shards)
+    serial_config = RunConfig.from_env(fast=fast, shards=1)
+    sharded_config = RunConfig.from_env(fast=fast, shards=shards)
     serial_s = time_call(
         lambda: run_with_config(setup, mode, benchmark, serial_config),
         repeats,
@@ -326,10 +326,9 @@ def run_harness(
         # is kept for v1 readers (it mirrors build != scalar).
         "datapath": config.datapath,
         "fastpath_enabled": config.datapath != "scalar",
-        # v2: the simulation engine and shard knob the timings ran under
-        # (cells time whatever the knobs select; the sharding section
-        # below always compares serial vs sharded explicitly).
-        "engine": config.engine,
+        # v2: the shard knob the timings ran under (cells time whatever
+        # the knob selects; the sharding section below always compares
+        # serial vs sharded explicitly).
         "shards": config.shards,
         # The observe tier the timed cells ran under (off|lite|full) —
         # like datapath, consumers must never compare across tiers.
@@ -400,14 +399,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="datapath build to benchmark (default: REPRO_DATAPATH or "
         "the columnar default); recorded in the report's 'datapath' "
         "field so trajectories never mix builds",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=sorted(repro_scheduler.ENGINES),
-        default=None,
-        help="simulation engine to benchmark (default: REPRO_ENGINE or "
-        "the event-kernel default); recorded in the report's 'engine' "
-        "field",
     )
     parser.add_argument(
         "--shards",
@@ -483,8 +474,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.datapath is not None:
         repro_datapath.set_datapath(args.datapath)
-    if args.engine is not None:
-        repro_scheduler.set_engine(args.engine)
     if args.shards is not None:
         repro_scheduler.set_shards(args.shards)
     if args.observe is not None:

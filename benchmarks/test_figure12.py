@@ -9,7 +9,7 @@ from repro.sim import run_figure12
 
 @pytest.fixture(scope="module")
 def grid():
-    return run_figure12(fast=False)
+    return run_figure12()
 
 
 @pytest.mark.benchmark(group="figure12")

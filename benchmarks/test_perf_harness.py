@@ -35,7 +35,7 @@ def test_harness_smoke_emits_report(tmp_path):
     assert out.exists()
     on_disk = json.loads(out.read_text())
     assert on_disk["schema"] == "riommu-repro/bench-runner/v2"
-    assert on_disk["datapath"] in ("scalar", "batched", "columnar")
+    assert on_disk["datapath"] in ("scalar", "columnar")
     assert on_disk["fastpath_enabled"] == (on_disk["datapath"] != "scalar")
     assert on_disk["grid"]["cells"] == 2
     assert on_disk["grid"]["serial_seconds"] > 0
@@ -48,7 +48,6 @@ def test_harness_smoke_emits_report(tmp_path):
     # balanced multi-tenant scenario under strict and under rIOMMU.
     tenant_rows = [r for r in on_disk["cells"] if r["benchmark"] == "tenants"]
     assert {r["mode"] for r in tenant_rows} == {"strict", "riommu"}
-    assert on_disk["engine"] in ("loop", "events")
     assert on_disk["shards"] >= 1
     assert on_disk["observe"] in ("off", "lite", "full")
     sharding = on_disk["sharding"]
@@ -162,15 +161,11 @@ def test_lite_overhead_gate_quantifies_breaches(monkeypatch):
 def test_fastpath_speeds_up_single_cell():
     """The stream cell must be >= 15% faster with fast paths enabled.
 
-    The slow path is forced in a subprocess via REPRO_DISABLE_FASTPATH
-    (the flag is read at import time), so both arms measure the same
-    code on the same machine back to back.  Note the flag only gates
-    the chunk-loop fast paths and the translation memo; the always-on
+    The slow path is forced in a subprocess via REPRO_DATAPATH=scalar
+    (the build is read at import time), so both arms measure the same
+    code on the same machine back to back.  The always-on
     micro-optimisations (context-lookup cache, cached rbtree keys,
-    inlined cacheline arithmetic) speed up *both* arms, which is why
-    this toggle shows ~20% while the improvement against the
-    pre-optimisation tree is >= 25% (pinned at PR time: 0.40s vs the
-    0.57s baseline for this cell, ~30%).
+    inlined cacheline arithmetic) speed up *both* arms.
     """
     code = (
         "import time\n"
@@ -196,7 +191,7 @@ def test_fastpath_speeds_up_single_cell():
         return float(out.stdout.strip())
 
     fast = run({})
-    slow = run({"REPRO_DISABLE_FASTPATH": "1"})
+    slow = run({"REPRO_DATAPATH": "scalar"})
     assert fast <= slow * 0.85, f"fastpath {fast:.3f}s vs slowpath {slow:.3f}s"
 
 
@@ -206,6 +201,9 @@ def test_parallel_grid_speedup():
     """jobs=4 must beat serial by >= 2x on a 4-core machine."""
     from repro.sim.runner import run_figure12
 
-    serial = time_call(lambda: run_figure12(fast=True, jobs=1), repeats=1)
-    parallel = time_call(lambda: run_figure12(fast=True, jobs=4), repeats=1)
+    from repro.config import RunConfig
+
+    config = RunConfig.from_env(fast=True)
+    serial = time_call(lambda: run_figure12(jobs=1, config=config), repeats=1)
+    parallel = time_call(lambda: run_figure12(jobs=4, config=config), repeats=1)
     assert parallel <= serial / 2, f"serial {serial:.2f}s, jobs=4 {parallel:.2f}s"

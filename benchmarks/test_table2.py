@@ -11,7 +11,7 @@ from repro.sim import run_figure12
 @pytest.mark.benchmark(group="table2")
 def test_table2(benchmark, save_artifact):
     result = benchmark.pedantic(
-        lambda: table2_from_grid(run_figure12(fast=False)), rounds=1, iterations=1
+        lambda: table2_from_grid(run_figure12()), rounds=1, iterations=1
     )
     save_artifact("table2", result.render())
 

@@ -29,6 +29,7 @@ from repro.analysis import (
     table2_from_grid,
 )
 from repro.analysis.figure12 import Figure12Result
+from repro.config import RunConfig
 from repro.sim import run_figure12
 
 
@@ -55,7 +56,7 @@ def main() -> None:
     print(f"max model-vs-busywait error: {figure8.max_model_error():.2%}")
 
     banner("E4  Figure 12 — both setups x five benchmarks x seven modes")
-    grid = run_figure12(fast=fast)
+    grid = run_figure12(config=RunConfig.from_env(fast=fast))
     print(Figure12Result(grid=grid).render())
 
     banner("E5  Table 2 — normalised performance (measured vs paper)")

@@ -34,6 +34,7 @@ from repro.perf.model import gbps_from_cycles, throughput_with_line_rate
 from repro.sim.netperf import NIC_BDF, build_machine
 from repro.sim.memcached import MemcachedBench
 from repro.sim.parallel import parallel_map, resolve_jobs
+from repro.sim.scheduler import run_events
 from repro.sim.setups import MLX_SETUP
 
 # Every sweep below accepts ``jobs``: points are independent simulations,
@@ -286,7 +287,7 @@ def _pathology_point(args: Tuple[float, int]) -> Tuple[float, float]:
         warmup=20,
         machine_kwargs={"cost_overrides": {Component.IOVA_ALLOC: base_alloc * scale}},
     )
-    strict = scaled.run(MLX_SETUP, Mode.STRICT).throughput_metric
+    strict = run_events(scaled, MLX_SETUP, Mode.STRICT).throughput_metric
     return (scale, strict)
 
 
@@ -304,7 +305,7 @@ def sweep_alloc_pathology(
     32-way-concurrent request traffic.
     """
     bench = MemcachedBench(requests=requests, warmup=20)
-    riommu = bench.run(MLX_SETUP, Mode.RIOMMU).throughput_metric
+    riommu = run_events(bench, MLX_SETUP, Mode.RIOMMU).throughput_metric
     strict_points = parallel_map(
         _pathology_point, [(s, requests) for s in scales], resolve_jobs(jobs)
     )

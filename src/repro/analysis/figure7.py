@@ -17,6 +17,7 @@ from repro.modes import ALL_MODES, Mode
 from repro.perf.calibration import C_NONE_MLX
 from repro.perf.cycles import Component
 from repro.sim.netperf import NetperfStream
+from repro.sim.scheduler import run_events
 from repro.sim.setups import MLX_SETUP
 
 #: Figure 7's stack groups, bottom to top.
@@ -84,7 +85,7 @@ def run_figure7(packets: int = 600, warmup: int = 150) -> Figure7Result:
     workload = NetperfStream(packets=packets, warmup=warmup)
     stacks: Dict[Mode, Dict[str, float]] = {}
     for mode in ALL_MODES:
-        result = workload.run(MLX_SETUP, mode)
+        result = run_events(workload, MLX_SETUP, mode)
         groups: Dict[str, float] = {}
         for group_name, components in STACK_GROUPS:
             groups[group_name] = sum(

@@ -22,6 +22,7 @@ from repro.modes import ALL_MODES, Mode
 from repro.perf.cycles import Component
 from repro.perf.model import gbps_from_cycles, throughput_with_line_rate
 from repro.sim.netperf import NetperfStream, NIC_BDF, build_machine
+from repro.sim.scheduler import run_events
 from repro.sim.setups import MLX_SETUP
 
 
@@ -137,7 +138,7 @@ def run_figure8(
     workload = NetperfStream(packets=packets, warmup=warmup)
     mode_points: Dict[Mode, Tuple[float, float]] = {}
     for mode in ALL_MODES:
-        result = workload.run(MLX_SETUP, mode)
+        result = run_events(workload, MLX_SETUP, mode)
         mode_points[mode] = (result.cycles_per_packet, result.gbps or 0.0)
 
     return Figure8Result(

@@ -127,7 +127,7 @@ def run_tenants(
 ) -> TenancyResult:
     """Run the scenario under each mode on one setup.
 
-    ``config`` carries the engine/shard/datapath knobs (default: the
+    ``config`` carries the shard/datapath knobs (default: the
     ambient environment via ``RunConfig.from_env()``); the scenario
     itself rides in ``config.tenancy`` so grid workers and shard
     workers reconstruct it from ``REPRO_TENANCY``.

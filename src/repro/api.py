@@ -14,11 +14,10 @@ Quick start::
     for mode, r in results.items():
         print(mode.label, f"{r.gbps:.1f} Gbps")
 
-All run-shaping knobs (datapath build, engine, shards, observation,
+All run-shaping knobs (sizing, datapath build, shards, observation,
 timeline window, tenancy scenario) travel in one frozen
-:class:`~repro.config.RunConfig`; the legacy ``fast=``/``engine=``/
-``shards=`` kwargs and the ``REPRO_DISABLE_*`` variables still work
-through a single deprecation shim (see ``repro.config``).
+:class:`~repro.config.RunConfig`, passed as ``config=`` (see
+``repro.config``).
 
 Tracing a run::
 
@@ -41,7 +40,7 @@ Observing a run (attribution + protection audit, no trace retention)::
     print(result.obs["profile"]["reconciles"])     # True — bit-exact
     print(result.obs["audit"]["stale_window_dmas"])  # > 0 under defer
 
-Lite telemetry (keeps columnar/events/shards active)::
+Lite telemetry (keeps the columnar build and shards active)::
 
     from repro.api import MLX_SETUP, Mode, RunConfig, run_benchmark
 
@@ -53,7 +52,7 @@ Lite telemetry (keeps columnar/events/shards active)::
 
 from __future__ import annotations
 
-from repro.config import RunConfig, resolve_run_config
+from repro.config import RunConfig
 from repro.dma import (
     DmaDirection,
     MapRequest,
@@ -142,17 +141,13 @@ from repro.sim.tenancy import (
     preset_scenario,
 )
 from repro.sim.scheduler import (
-    ENGINE_ENV,
-    ENGINES,
     SHARDS_ENV,
     EventScheduler,
     EventSim,
     load_checkpoint,
-    resolve_engine,
     resolve_shards,
     run_events,
     save_checkpoint,
-    set_engine,
     set_shards,
 )
 from repro.sim.setups import ALL_SETUPS, BRCM_SETUP, MLX_SETUP, Setup, setup_by_name
@@ -190,7 +185,6 @@ __all__ = [
     "run_with_config",
     # unified run configuration
     "RunConfig",
-    "resolve_run_config",
     # multi-tenant contention scenario
     "SCENARIO_PRESETS",
     "ScenarioSpec",
@@ -198,18 +192,14 @@ __all__ = [
     "TenantSpec",
     "preset_scenario",
     # event-scheduled kernel & sharding
-    "ENGINES",
-    "ENGINE_ENV",
     "SHARDS_ENV",
     "EventScheduler",
     "EventSim",
     "MultiRingStream",
     "load_checkpoint",
-    "resolve_engine",
     "resolve_shards",
     "run_events",
     "save_checkpoint",
-    "set_engine",
     "set_shards",
     # observability bus
     "EVENT_TYPES",

@@ -12,6 +12,8 @@ import sys
 import time
 from typing import Dict, Optional, Sequence
 
+from repro.config import BUILDS
+
 EXPERIMENTS: Dict[str, str] = {
     "table1": "E1: map/unmap cycle breakdown (paper Table 1)",
     "figure7": "E2: cycles per packet by component (paper Figure 7)",
@@ -143,20 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--datapath",
-        choices=("scalar", "batched", "columnar"),
+        choices=BUILDS,
         default=None,
         help="simulator datapath build (default: $REPRO_DATAPATH, else "
-        "columnar) — scalar is the reference per-event loop, batched "
-        "adds scatter-gather folding, columnar adds the observer-free "
-        "mode-specialized hot loop; all three are bit-identical",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("loop", "events"),
-        default=None,
-        help="simulation engine (default: $REPRO_ENGINE, else events) — "
-        "events is the cycle-stamped event-scheduled kernel, loop the "
-        "legacy fixed call-order reference; both are bit-identical",
+        "columnar) — scalar is the reference per-event loop, columnar "
+        "the batched, observer-free mode-specialized hot loop; both are "
+        "bit-identical",
     )
     parser.add_argument(
         "--shards",
@@ -309,13 +303,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         datapath.set_datapath(args.datapath)
 
-    if args.engine is not None or args.shards is not None:
+    if args.shards is not None:
         from repro.sim import scheduler
 
-        if args.engine is not None:
-            scheduler.set_engine(args.engine)
-        if args.shards is not None:
-            scheduler.set_shards(args.shards)
+        scheduler.set_shards(args.shards)
 
     if args.experiment == "list":
         width = max(len(name) for name in EXPERIMENTS)

@@ -1,15 +1,11 @@
 """Unified run configuration: one frozen record for every knob.
 
-Seven PRs of growth left the simulator's run configuration scattered
-over five environment variables, two legacy veto switches and a growing
-``run_benchmark`` kwarg tail (``fast=``, ``engine=``, ``shards=``),
-each with its own ad-hoc ``resolve_*`` reader.  This module replaces
-that sprawl with a single source of truth:
+This module is the single source of truth for how a run is configured:
 
 * :class:`RunConfig` — a frozen, keyword-only record of every knob:
-  datapath build, simulation engine, intra-run shard count, per-run
-  observation, timeline window width, benchmark sizing (``fast``) and
-  the multi-tenant scenario (:mod:`repro.sim.tenancy`).
+  datapath build, intra-run shard count, per-run observation, timeline
+  window width, benchmark sizing (``fast``) and the multi-tenant
+  scenario (:mod:`repro.sim.tenancy`).
 * :meth:`RunConfig.from_env` — the one environment reader.  Every
   module that used to parse ``REPRO_*`` itself (datapath, scheduler,
   profile, timeline, the perf harness) now funnels through the parsing
@@ -18,11 +14,9 @@ that sprawl with a single source of truth:
 * :meth:`RunConfig.to_env` / :meth:`RunConfig.apply` — the one export
   path: grid worker processes reconstruct an identical config from the
   environment (``from_env(to_env()) == config``, pinned by test).
-* :func:`resolve_run_config` — the one compatibility shim.  The legacy
-  ``fast=``/``engine=``/``shards=`` kwargs and the pre-PR-6 veto
-  variables ``REPRO_DISABLE_FASTPATH``/``REPRO_DISABLE_BATCH`` keep
-  working, but every deprecated spelling emits its
-  :class:`DeprecationWarning` from here and nowhere else.
+
+The runner facade (:func:`repro.sim.runner.run_benchmark` and friends)
+takes its knobs only as ``config=RunConfig(...)``.
 
 This module sits below the rest of the package: it imports nothing
 from ``repro`` at module level (``apply`` and the tenancy parser use
@@ -35,34 +29,19 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Tuple
 
 # -- canonical knob constants (single source of truth) ----------------------
 
-#: The recognised datapath builds, slowest to fastest.
-BUILDS: Tuple[str, ...] = ("scalar", "batched", "columnar")
+#: The recognised datapath builds: the reference oracle, then the product.
+BUILDS: Tuple[str, ...] = ("scalar", "columnar")
 
 #: Datapath build used when ``REPRO_DATAPATH`` is unset.
 DEFAULT_BUILD = "columnar"
 
 #: The one documented datapath selection knob.
 DATAPATH_ENV = "REPRO_DATAPATH"
-
-#: Deprecated pre-PR-6 veto switches (still honoured, with a warning).
-LEGACY_FASTPATH_ENV = "REPRO_DISABLE_FASTPATH"
-LEGACY_BATCH_ENV = "REPRO_DISABLE_BATCH"
-
-#: The recognised engines: the legacy fixed call-order loop and the
-#: event-scheduled kernel.
-ENGINES: Tuple[str, ...] = ("loop", "events")
-
-#: Engine used when ``REPRO_ENGINE`` is unset.
-DEFAULT_ENGINE = "events"
-
-#: Engine selection knob (exported to grid worker processes).
-ENGINE_ENV = "REPRO_ENGINE"
 
 #: Intra-run shard count knob (exported to grid worker processes).
 SHARDS_ENV = "REPRO_SHARDS"
@@ -84,7 +63,6 @@ TENANCY_ENV = "REPRO_TENANCY"
 #: Every canonical environment variable, in presentation order.
 ENV_VARS: Tuple[str, ...] = (
     DATAPATH_ENV,
-    ENGINE_ENV,
     SHARDS_ENV,
     OBSERVE_ENV,
     TIMELINE_WINDOW_ENV,
@@ -92,99 +70,23 @@ ENV_VARS: Tuple[str, ...] = (
 )
 
 
-class _Unset:
-    """Sentinel distinguishing 'kwarg not passed' from any real value."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<UNSET>"
-
-
-#: The sentinel default for the legacy kwargs of the runner facade.
-UNSET = _Unset()
-
-
 # -- knob parsing helpers (the collapsed resolve_* readers) -----------------
 
 
-def resolve_datapath_flags(
-    build: str, legacy_fast: bool, legacy_batch: bool
-) -> Tuple[bool, bool, bool]:
-    """Map (build, legacy vetoes) to the three datapath feature flags.
-
-    The truth table formerly private to :mod:`repro.datapath`; the veto
-    switches disable the columnar build because columnar layers on both
-    fast paths and staged charging.
-    """
+def check_build(build: str) -> str:
+    """Return ``build`` if it names a datapath build, else raise."""
     if build not in BUILDS:
         raise ValueError(
             f"unknown datapath build {build!r}: expected one of {', '.join(BUILDS)}"
         )
-    fast = build != "scalar" and not legacy_fast
-    batch = build != "scalar" and not legacy_batch
-    columnar = build == "columnar" and not (legacy_fast or legacy_batch)
-    return fast, batch, columnar
-
-
-def datapath_build_name(fast: bool, batch: bool, columnar: bool) -> str:
-    """The build name a set of feature flags corresponds to."""
-    if columnar:
-        return "columnar"
-    if fast or batch:
-        return "batched"
-    return "scalar"
-
-
-def warn_legacy_datapath_env(env: Mapping[str, str], stacklevel: int = 3) -> None:
-    """Emit the deprecation warning for any legacy veto present in ``env``."""
-    for legacy in (LEGACY_FASTPATH_ENV, LEGACY_BATCH_ENV):
-        if legacy in env:
-            warnings.warn(
-                f"{legacy} is deprecated; use {DATAPATH_ENV}=scalar "
-                f"(or =batched to keep staged charging) instead",
-                DeprecationWarning,
-                stacklevel=stacklevel,
-            )
+    return build
 
 
 def datapath_from_env(env: Optional[Mapping[str, str]] = None) -> str:
-    """The datapath build name an environment resolves to (with warnings)."""
+    """The datapath build ``REPRO_DATAPATH`` selects (``ValueError`` if bad)."""
     if env is None:
         env = os.environ
-    warn_legacy_datapath_env(env)
-    flags = resolve_datapath_flags(
-        env.get(DATAPATH_ENV, DEFAULT_BUILD),
-        LEGACY_FASTPATH_ENV in env,
-        LEGACY_BATCH_ENV in env,
-    )
-    return datapath_build_name(*flags)
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Normalise an engine request: explicit argument, else the env knob.
-
-    Unknown names raise :class:`ValueError` listing the valid engines.
-    """
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV, DEFAULT_ENGINE)
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}: expected one of {', '.join(ENGINES)}"
-        )
-    return engine
-
-
-def engine_from_env(env: Optional[Mapping[str, str]] = None) -> str:
-    """The engine an environment mapping selects (``ValueError`` if bad)."""
-    if env is None:
-        env = os.environ
-    engine = env.get(ENGINE_ENV, DEFAULT_ENGINE)
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}: expected one of {', '.join(ENGINES)}"
-        )
-    return engine
+    return check_build(env.get(DATAPATH_ENV, DEFAULT_BUILD))
 
 
 def normalize_shards(shards: int) -> int:
@@ -241,7 +143,7 @@ def observe_from_env(env: Optional[Mapping[str, str]] = None) -> str:
 
     ``""``/``"0"`` mean off and ``"1"`` means full (the historical
     boolean spellings); the literal levels pass through; anything else
-    raises like the engine parser does.
+    raises like the datapath parser does.
     """
     if env is None:
         env = os.environ
@@ -296,9 +198,9 @@ class RunConfig:
 
     ``fast`` shrinks benchmark sizes (it travels with the work item —
     the grid's :data:`~repro.sim.parallel.GridCell` — not the
-    environment).  ``datapath``/``engine``/``shards``/``observe``/
-    ``timeline_window`` are the five process knobs that used to be
-    environment-variable sprawl; ``tenancy`` carries an optional
+    environment).  ``datapath``/``shards``/``observe``/
+    ``timeline_window`` are the four process knobs, each with its
+    ``REPRO_*`` environment spelling; ``tenancy`` carries an optional
     :class:`~repro.sim.tenancy.ScenarioSpec` for the multi-tenant
     benchmark.  All fields validate at construction, so a config built
     from a bad environment fails loudly at ``from_env`` time.
@@ -306,7 +208,6 @@ class RunConfig:
 
     fast: bool = False
     datapath: str = DEFAULT_BUILD
-    engine: str = DEFAULT_ENGINE
     shards: int = 1
     observe: str = "off"
     timeline_window: Optional[float] = None
@@ -316,16 +217,7 @@ class RunConfig:
         # Booleans normalise to their historical levels, so
         # ``RunConfig(observe=True)`` keeps meaning the full observer.
         object.__setattr__(self, "observe", normalize_observe(self.observe))
-        if self.datapath not in BUILDS:
-            raise ValueError(
-                f"unknown datapath build {self.datapath!r}: "
-                f"expected one of {', '.join(BUILDS)}"
-            )
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}: "
-                f"expected one of {', '.join(ENGINES)}"
-            )
+        check_build(self.datapath)
         object.__setattr__(self, "shards", normalize_shards(self.shards))
         if self.timeline_window is not None and self.timeline_window <= 0:
             raise ValueError("timeline_window must be positive (or None)")
@@ -338,14 +230,12 @@ class RunConfig:
     ) -> "RunConfig":
         """Build a config from an environment mapping (default: ``os.environ``).
 
-        The single resolve path every knob reader funnels through.  The
-        deprecated ``REPRO_DISABLE_*`` vetoes still work here (with a
-        :class:`DeprecationWarning`); keyword ``overrides`` replace
-        individual fields after the environment is read.
+        The single resolve path every knob reader funnels through;
+        keyword ``overrides`` replace individual fields after the
+        environment is read.
         """
         config = cls(
             datapath=datapath_from_env(env),
-            engine=engine_from_env(env),
             shards=shards_from_env(env),
             observe=observe_from_env(env),
             timeline_window=timeline_window_from_env(env),
@@ -366,7 +256,6 @@ class RunConfig:
         """
         out = {
             DATAPATH_ENV: self.datapath,
-            ENGINE_ENV: self.engine,
             SHARDS_ENV: str(self.shards),
             OBSERVE_ENV: self.observe,
         }
@@ -427,54 +316,3 @@ class RunConfig:
         parent's is put back afterwards.
         """
         return RunConfig._Exported(self)
-
-
-# -- the one compatibility shim ---------------------------------------------
-
-
-def resolve_run_config(
-    config: Optional[RunConfig] = None,
-    *,
-    fast=UNSET,
-    observe=UNSET,
-    engine=UNSET,
-    shards=UNSET,
-    caller: str = "run_benchmark",
-) -> RunConfig:
-    """Merge a ``config=`` argument with the legacy kwarg spellings.
-
-    The single deprecation funnel for the runner facade:
-
-    * ``config=None`` starts from :meth:`RunConfig.from_env` — the
-      historical env-consulting behaviour.
-    * ``fast=``, ``engine=`` and ``shards=`` still work but emit one
-      :class:`DeprecationWarning` naming the replacement field
-      (``engine=None``/``shards=None`` mean "consult the environment",
-      exactly as before, and do not warn).
-    * ``observe=`` merges silently: ``None`` defers to the config (and
-      thus the environment), any other value overrides it.
-    """
-    if config is None:
-        config = RunConfig.from_env()
-    updates: Dict[str, object] = {}
-    deprecated = []
-    if fast is not UNSET:
-        deprecated.append(f"fast={fast!r}")
-        updates["fast"] = bool(fast)
-    if engine is not UNSET and engine is not None:
-        deprecated.append(f"engine={engine!r}")
-        updates["engine"] = resolve_engine(engine)
-    if shards is not UNSET and shards is not None:
-        deprecated.append(f"shards={shards!r}")
-        updates["shards"] = normalize_shards(shards)
-    if deprecated:
-        warnings.warn(
-            f"{caller}({', '.join(deprecated)}) is deprecated; pass "
-            f"config=RunConfig({', '.join(deprecated)}) instead "
-            f"(see repro.config.RunConfig)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    if observe is not UNSET and observe is not None:
-        updates["observe"] = normalize_observe(observe)
-    return replace(config, **updates) if updates else config

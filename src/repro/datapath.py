@@ -1,34 +1,29 @@
-"""Datapath build selection: scalar, batched, or columnar.
+"""Datapath build selection: scalar or columnar.
 
-The simulator has three interchangeable builds of its per-packet inner
-loop, all bit-identical in every modelled number (cycles, statistics,
+The simulator has two interchangeable builds of its per-packet inner
+loop, bit-identical in every modelled number (cycles, statistics,
 faults, memory contents) and differing only in wall-clock speed:
 
 * ``scalar`` — one Python call per event: per-page translation loops,
   one :meth:`CycleAccount.charge` per cost, per-descriptor object
-  construction.  The reference semantics; slowest.
-* ``batched`` — the PR-1-era fast paths: single-page translation
-  shortcuts, per-burst translation memos, staged (counter-based) cycle
-  charges, bulk copies.
-* ``columnar`` — the batched paths *plus* struct-of-arrays burst
-  processing: whole map/unmap bursts charged with one exact fold per
-  component (precomputed per-mode cost vectors), raw-struct descriptor
-  and rPTE codecs, and observer-free specializations of the burst loops
-  selected when no tracer is active.  The default.
+  construction.  The reference semantics (the oracle); slowest.
+* ``columnar`` — single-page translation shortcuts, per-burst
+  translation memos, staged (counter-based) cycle charges and bulk
+  copies, *plus* struct-of-arrays burst processing: whole map/unmap
+  bursts charged with one exact fold per component (precomputed
+  per-mode cost vectors), raw-struct descriptor and rPTE codecs, and
+  observer-free specializations of the burst loops selected when no
+  tracer is active.  The default.
 
 Selection is one documented knob::
 
-    REPRO_DATAPATH={scalar,batched,columnar}
+    REPRO_DATAPATH={scalar,columnar}
 
-The legacy switches ``REPRO_DISABLE_FASTPATH`` (kills the fast paths)
-and ``REPRO_DISABLE_BATCH`` (kills staged charging and bulk SG) still
-work but are deprecated; either one also disables the columnar build,
-since columnar layers on both.
-
-This module is the single source of truth for the three feature flags.
-Consumer modules (``repro.devices.dma``, ``repro.memory.physical``,
-``repro.perf.cycles``) copy ``FASTPATH_ENABLED``/``BATCH_ENABLED`` into
-module globals at import time — tests poke those globals directly, so
+This module holds the three feature flags the hot paths read; all
+three equal ``build == "columnar"``.  Consumer modules
+(``repro.devices.dma``, ``repro.memory.physical``, ``repro.perf.cycles``)
+copy ``FASTPATH_ENABLED``/``BATCH_ENABLED`` into module globals at
+import time — tests poke those globals directly, one at a time — so
 :func:`set_datapath` re-pokes them when switching builds at runtime.
 Columnar burst loops read ``datapath.COLUMNAR_ENABLED`` through the
 module attribute (one lookup per burst, not per event) and additionally
@@ -41,19 +36,15 @@ from __future__ import annotations
 
 import os
 
-# The knob constants and the resolve truth table live in repro.config —
-# the single source every reader (this module, RunConfig.from_env, the
-# perf harness) funnels through.  The historical names stay importable
-# from here.
+# The knob constants live in repro.config — the single source every
+# reader (this module, RunConfig.from_env) funnels through.  The
+# historical names stay importable from here.
 from repro.config import (
     BUILDS,
     DEFAULT_BUILD,
-    LEGACY_BATCH_ENV as _LEGACY_BATCH,
-    LEGACY_FASTPATH_ENV as _LEGACY_FASTPATH,
     DATAPATH_ENV as ENV_VAR,
-    datapath_build_name,
-    resolve_datapath_flags as _resolve,
-    warn_legacy_datapath_env,
+    check_build,
+    datapath_from_env,
 )
 
 __all__ = [
@@ -67,16 +58,6 @@ __all__ = [
     "set_datapath",
 ]
 
-
-def _resolve_from_env():
-    warn_legacy_datapath_env(os.environ)
-    return _resolve(
-        os.environ.get(ENV_VAR, DEFAULT_BUILD),
-        _LEGACY_FASTPATH in os.environ,
-        _LEGACY_BATCH in os.environ,
-    )
-
-
 #: Single-page / single-frame fast paths and per-burst memos.
 FASTPATH_ENABLED: bool
 #: Staged (counter-based) cycle charging and bulk SG datapaths.
@@ -84,12 +65,14 @@ BATCH_ENABLED: bool
 #: Struct-of-arrays burst loops with precomputed cost vectors.
 COLUMNAR_ENABLED: bool
 
-FASTPATH_ENABLED, BATCH_ENABLED, COLUMNAR_ENABLED = _resolve_from_env()
+FASTPATH_ENABLED = BATCH_ENABLED = COLUMNAR_ENABLED = (
+    datapath_from_env() == "columnar"
+)
 
 
 def current_build() -> str:
     """The active build name, derived from the live flags."""
-    return datapath_build_name(FASTPATH_ENABLED, BATCH_ENABLED, COLUMNAR_ENABLED)
+    return "columnar" if COLUMNAR_ENABLED else "scalar"
 
 
 def set_datapath(build: str) -> None:
@@ -97,25 +80,21 @@ def set_datapath(build: str) -> None:
 
     Updates this module's flags *and* the copies consumer modules hold
     in their own globals (the names parity tests poke), so a switch is
-    complete no matter which spelling a caller reads.  Ignores the
-    legacy environment vetoes: an explicit runtime selection wins.
+    complete no matter which spelling a caller reads.
     """
     global FASTPATH_ENABLED, BATCH_ENABLED, COLUMNAR_ENABLED
-    fast, batch, columnar = _resolve(build, False, False)
-    FASTPATH_ENABLED, BATCH_ENABLED, COLUMNAR_ENABLED = fast, batch, columnar
+    enabled = check_build(build) == "columnar"
+    FASTPATH_ENABLED = BATCH_ENABLED = COLUMNAR_ENABLED = enabled
 
     # Export the selection so spawned worker processes (the parallel
-    # grid runner) resolve the same build; the legacy vetoes are cleared
-    # because the explicit selection wins.
+    # grid runner) resolve the same build.
     os.environ[ENV_VAR] = build
-    os.environ.pop(_LEGACY_FASTPATH, None)
-    os.environ.pop(_LEGACY_BATCH, None)
 
     import repro.devices.dma as _dma
     import repro.memory.physical as _physical
     import repro.perf.cycles as _cycles
 
-    _dma.FASTPATH_ENABLED = fast
-    _dma.BATCH_ENABLED = batch
-    _physical.FASTPATH_ENABLED = fast
-    _cycles.BATCH_ENABLED = batch
+    _dma.FASTPATH_ENABLED = enabled
+    _dma.BATCH_ENABLED = enabled
+    _physical.FASTPATH_ENABLED = enabled
+    _cycles.BATCH_ENABLED = enabled

@@ -17,7 +17,7 @@ per-packet cycles and map→unmap mapping lifetimes, attaching one
 observational: the sinks only read the stream, so golden results are
 bit-identical with observers on or off (the parity tests pin this).
 
-Enable per call (``run_benchmark(..., observe=True)``), or process-wide
+Enable per call (``config=RunConfig(observe=True)``), or process-wide
 with the ``REPRO_OBSERVE`` environment variable — which the parallel
 runner's worker processes inherit, so grid runs stay parallel while
 each cell observes itself.
@@ -187,7 +187,7 @@ class RunObserver:
     Subscribe/unsubscribe via the context-manager protocol::
 
         with RunObserver() as obs:
-            result = bench.run(setup, mode)
+            result = run_events(bench, setup, mode)
         result.obs = obs.summary(result)
 
     One sink dispatches to the profiler, the auditor, the per-packet

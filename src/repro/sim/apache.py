@@ -75,16 +75,6 @@ class ApacheBench:
         driver.fill_rx()
         return machine, driver
 
-    def run(self, setup: Setup, mode: Mode) -> RunResult:
-        """Serve ``requests`` requests; returns requests/s and CPU."""
-        machine, driver = self._build(setup, mode)
-
-        self._serve(driver, self.warmup, setup)
-        driver.account.reset()
-        self._serve(driver, self.requests, setup)
-
-        return self._result(machine, driver, setup, mode)
-
     def _result(
         self, machine: Machine, driver: NetDriver, setup: Setup, mode: Mode
     ) -> RunResult:
@@ -113,13 +103,6 @@ class ApacheBench:
             per_packet_breakdown=account.per_packet(packets),
             metrics=collect_machine_metrics(machine),
         )
-
-    def _serve(self, driver: NetDriver, count: int, setup: Setup) -> None:
-        for _ in range(count):
-            self._serve_one(driver, setup)
-        driver.pump_tx()
-        driver.flush_tx()
-        driver.flush_rx()
 
     def _serve_one(self, driver: NetDriver, setup: Setup) -> None:
         """Serve one complete non-keep-alive request."""

@@ -2,7 +2,7 @@
 
 The paper derives rIOMMU's win from a per-component decomposition
 (Table 1, §5); the repo's design adds its own components on top (the
-magazine allocator of the "+" modes, the datapath builds, ring sizing).
+magazine allocator of the "+" modes, ring sizing).
 This module declares each toggleable component **once**, as a named
 knob over the run surface, so ``repro ablate``
 (:mod:`repro.analysis.ablate`) can generate, execute and rank a
@@ -37,7 +37,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict
 
-from repro.config import BUILDS, DEFAULT_BUILD, RunConfig
+from repro.config import DEFAULT_BUILD, RunConfig, check_build
 from repro.modes import Mode
 
 #: Schema tag carried by each persisted per-arm evidence record.
@@ -77,11 +77,7 @@ class ArmSpec:
 
     def __post_init__(self) -> None:
         Mode(self.mode)  # raises on unknown labels, like RunConfig does
-        if self.datapath not in BUILDS:
-            raise ValueError(
-                f"unknown datapath build {self.datapath!r}: "
-                f"expected one of {', '.join(BUILDS)}"
-            )
+        check_build(self.datapath)
 
     def to_dict(self) -> Dict[str, object]:
         """Canonical JSON-plain form (the content that is hashed)."""
@@ -175,26 +171,6 @@ register_component(
         present={"mode": "strict+"},
         removed={"mode": "strict"},
         reference="paper §2.2 / Table 1 iova_alloc row",
-    )
-)
-register_component(
-    ComponentSpec(
-        name="columnar",
-        description="struct-of-arrays columnar burst loops (wall-clock "
-        "build; modelled numbers are parity-pinned identical)",
-        present={"datapath": "columnar"},
-        removed={"datapath": "batched"},
-        reference="docs/performance.md: the columnar datapath build",
-    )
-)
-register_component(
-    ComponentSpec(
-        name="fastpath",
-        description="single-page fast paths + staged batch charging "
-        "(wall-clock build; modelled numbers are parity-pinned identical)",
-        present={"datapath": "batched"},
-        removed={"datapath": "scalar"},
-        reference="docs/performance.md: the batched datapath build",
     )
 )
 register_component(
@@ -322,11 +298,11 @@ def run_arm(payload: Dict[str, object]) -> Dict[str, object]:
     datapath.set_datapath(spec.datapath)
     try:
         lite_config = RunConfig(
-            fast=spec.fast, datapath=spec.datapath, engine="events", observe="lite"
+            fast=spec.fast, datapath=spec.datapath, observe="lite"
         )
         lite = run_prepared(_instantiate(spec, mode), setup, mode, lite_config)
         full_config = RunConfig(
-            fast=spec.fast, datapath=spec.datapath, engine="events", observe="full"
+            fast=spec.fast, datapath=spec.datapath, observe="full"
         )
         full = run_prepared(_instantiate(spec, mode), setup, mode, full_config)
     finally:

@@ -50,16 +50,6 @@ class MemcachedBench:
         driver.fill_rx()
         return machine, driver
 
-    def run(self, setup: Setup, mode: Mode) -> RunResult:
-        """Serve the request mix; returns requests/s and CPU."""
-        machine, driver = self._build(setup, mode)
-
-        self._serve(driver, self.warmup, setup)
-        driver.account.reset()
-        self._serve(driver, self.requests, setup)
-
-        return self._result(machine, driver, setup, mode)
-
     def _result(
         self, machine: Machine, driver: NetDriver, setup: Setup, mode: Mode
     ) -> RunResult:
@@ -88,14 +78,6 @@ class MemcachedBench:
             per_packet_breakdown=account.per_packet(packets),
             metrics=collect_machine_metrics(machine),
         )
-
-    def _serve(self, driver: NetDriver, count: int, setup: Setup) -> None:
-        gets = int(count * GET_FRACTION)
-        for i in range(count):
-            self._serve_one(driver, i, gets, count, setup)
-        driver.pump_tx()
-        driver.flush_tx()
-        driver.flush_rx()
 
     def _serve_one(
         self, driver: NetDriver, i: int, gets: int, count: int, setup: Setup

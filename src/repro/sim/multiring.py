@@ -165,14 +165,6 @@ class MultiRingStream:
             metrics=None,
         )
 
-    # -- legacy loop engine ---------------------------------------------
-
-    def run(self, setup: Setup, mode: Mode) -> RunResult:
-        """Fixed call-order reference: domains run one after another."""
-        return self.finalize_domains(
-            self.run_domains(setup, mode, range(self.domains)), setup, mode
-        )
-
 
 def _actor_payload(actor: StreamActor) -> Dict[str, object]:
     """One completed domain's result as plain (picklable) data."""

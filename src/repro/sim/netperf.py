@@ -94,32 +94,6 @@ class NetperfStream:
             metrics=collect_machine_metrics(machine),
         )
 
-    def run(self, setup: Setup, mode: Mode) -> RunResult:
-        """Run the workload; returns the Figure-12-style result."""
-        machine, driver = self._build(setup, mode)
-
-        self._transmit_loop(driver, self.warmup, setup)
-        driver.account.reset()
-        base_tx = driver.stats.packets_transmitted
-        self._transmit_loop(driver, self.packets, setup)
-        measured = driver.stats.packets_transmitted - base_tx
-
-        return self._result(machine, driver, setup, mode, measured)
-
-    def _transmit_loop(self, driver: NetDriver, count: int, setup: Setup) -> None:
-        payload = b"\xab" * ETHERNET_MTU_BYTES
-        sent = 0
-        while sent < count:
-            if driver.transmit(payload):
-                driver.account.stage(Component.PROCESSING, setup.c_none_stream)
-                sent += 1
-                if sent % self.pump_interval == 0:
-                    driver.pump_tx()
-            else:
-                driver.pump_tx()
-        driver.pump_tx()
-        driver.flush_tx()
-
     def build_actors(self, setup: Setup, mode: Mode) -> List["StreamActor"]:
         """The event-kernel form of this workload: one stream actor."""
         return [StreamActor(self, setup, mode)]
@@ -137,10 +111,8 @@ class StreamActor(WorkloadActor):
 
     One burst = one pump interval of transmits (the driver's natural
     synchronization point: Tx completions coalesce and unmap there).
-    The state machine replays the legacy ``run()`` sequence exactly —
-    warmup loop, account reset, measured loop — one burst per
-    :meth:`step`, so the event kernel's call stream is bit-identical to
-    the loop engine's.
+    The state machine runs the warmup loop, resets the account, then
+    runs the measured loop, one burst per :meth:`step`.
     """
 
     _WARMUP, _MEASURE, _DONE = range(3)
@@ -159,8 +131,7 @@ class StreamActor(WorkloadActor):
         """Advance the transmit loop to the next pump boundary.
 
         Returns True when the loop (including its trailing pump+flush)
-        has completed — the same call sequence as ``_transmit_loop``,
-        split at the ``pump_interval`` boundaries.
+        has completed; bursts split at the ``pump_interval`` boundaries.
         """
         driver, setup = self.driver, self.setup
         interval = self.workload.pump_interval
@@ -231,16 +202,6 @@ class NetperfRR:
         driver.fill_rx()
         return machine, driver
 
-    def run(self, setup: Setup, mode: Mode) -> RunResult:
-        """Run the workload; returns RTT/transaction-rate/CPU."""
-        machine, driver = self._build(setup, mode)
-
-        self._exchange_loop(driver, self.warmup, setup)
-        driver.account.reset()
-        self._exchange_loop(driver, self.transactions, setup)
-
-        return self._result(machine, driver, setup, mode)
-
     def _result(
         self, machine: Machine, driver: NetDriver, setup: Setup, mode: Mode
     ) -> RunResult:
@@ -267,27 +228,6 @@ class NetperfRR:
             per_packet_breakdown=account.per_packet(packets),
             metrics=collect_machine_metrics(machine),
         )
-
-    def _exchange_loop(self, driver: NetDriver, count: int, setup: Setup) -> None:
-        for i in range(count):
-            # Send the 1-byte request ...
-            while not driver.transmit(b"\x01"):
-                driver.pump_tx()
-            driver.pump_tx()
-            driver.account.stage(
-                Component.PROCESSING, setup.rr_stack_cycles_per_packet
-            )
-            # ... and receive the 1-byte response.
-            driver.nic.deliver_frame(b"\x02")
-            driver.account.stage(
-                Component.PROCESSING, setup.rr_stack_cycles_per_packet
-            )
-            # Interrupt moderation delivers completions every few messages.
-            if (i + 1) % self.burst == 0:
-                driver.flush_tx()
-                driver.flush_rx()
-        driver.flush_tx()
-        driver.flush_rx()
 
     def build_actors(self, setup: Setup, mode: Mode) -> List["RRActor"]:
         """The event-kernel form of this workload: one RR actor."""

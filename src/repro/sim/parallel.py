@@ -13,14 +13,15 @@ Cells are shipped to workers by name (setup name, benchmark name, mode
 label) rather than by object, so nothing fancy needs to pickle; the
 worker re-resolves the objects from the registries.  If a pool cannot
 be created or dies (no ``fork`` support, resource limits, a worker
-killed), the runner falls back to executing the remaining cells
-serially in-process — slower, never wrong.
+killed), the runner warns and executes the cells serially in-process —
+slower, never wrong.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import warnings
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.modes import ALL_MODES, Mode
@@ -52,7 +53,7 @@ def worker_env_probe(names: Tuple[str, ...]) -> Dict[str, Optional[str]]:
 
     A module-level function so it pickles to pool workers; the env
     propagation tests map it across a real pool to pin that the knob
-    exports (``set_datapath``/``set_engine``/``REPRO_OBSERVE``) actually
+    exports (``set_datapath``/``set_shards``/``REPRO_OBSERVE``) actually
     reach ``run_grid``'s worker processes, not just the parent.  Also
     carries the worker's PID so a test can tell whether a pool was
     really used or the serial fallback ran.
@@ -104,10 +105,12 @@ def parallel_map(
 ) -> List[U]:
     """``[fn(x) for x in items]`` across ``max_workers`` processes.
 
-    Result order matches ``items`` order.  Falls back to a plain serial
-    loop if the pool cannot be created or breaks mid-flight; exceptions
-    raised by ``fn`` itself are *not* swallowed — they propagate exactly
-    as they would from the serial loop.
+    Result order matches ``items`` order.  An exception raised by ``fn``
+    propagates once, exactly as it would from the serial loop.  If the
+    work cannot be shipped to worker processes (an unpicklable ``fn`` or
+    item) or the pool cannot be created or breaks mid-flight, the whole
+    list runs serially in-process instead — with a
+    :class:`RuntimeWarning`, because degraded execution is never silent.
     """
     if max_workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -115,15 +118,31 @@ def parallel_map(
     from concurrent.futures.process import BrokenProcessPool
 
     try:
+        # Pickled up front so a payload failure (CPython raises
+        # AttributeError/TypeError, not PicklingError, for lambdas and
+        # locals) is told apart from the same exception raised by fn.
+        pickle.dumps((fn, list(items)))
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        return _serial_fallback(fn, items, f"work is not picklable ({exc})")
+    try:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(fn, items, chunksize=max(chunksize, 1)))
-    except (OSError, BrokenProcessPool, pickle.PicklingError, AttributeError, TypeError):
-        # Pool machinery failed (fork unavailable, worker killed, or an
-        # unpicklable payload — CPython raises AttributeError/TypeError,
-        # not PicklingError, for lambdas and locals).  Not a workload
-        # error: degrade to serial, where a genuine fn exception would
-        # re-raise identically anyway.
-        return [fn(item) for item in items]
+            try:
+                results = pool.map(fn, items, chunksize=max(chunksize, 1))
+            except OSError as exc:
+                return _serial_fallback(fn, items, f"pool failed to start ({exc})")
+            return list(results)
+    except BrokenProcessPool as exc:
+        return _serial_fallback(fn, items, f"pool broke ({exc})")
+
+
+def _serial_fallback(fn: Callable[[T], U], items: Sequence[T], why: str) -> List[U]:
+    """Run ``items`` in-process after a pool failure, saying so."""
+    warnings.warn(
+        f"parallel_map: {why}; running {len(items)} items serially",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return [fn(item) for item in items]
 
 
 def grid_cells(

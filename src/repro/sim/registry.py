@@ -27,7 +27,9 @@ class BenchmarkSpec:
 
     ``factory(fast)`` instantiates the workload: full-size parameters
     when ``fast`` is False (the reproduction benchmarks), shrunk runs
-    when True (unit tests and ``--fast``).
+    when True (unit tests and ``--fast``).  The workload implements the
+    event kernel's protocol, ``build_actors``/``finalize_events`` (see
+    :mod:`repro.sim.scheduler`).
 
     ``figure12`` marks workloads that belong to the paper's Figure 12
     grid; simulator-scaling benchmarks (``mstream``) register with it

@@ -39,7 +39,7 @@ class RunResult:
     #: golden figure-12 JSON is unaffected
     metrics: Optional[Dict[str, float]] = None
     #: per-run observation summary (cycle attribution, protection audit,
-    #: percentiles) attached by ``run_benchmark(..., observe=True)``;
+    #: percentiles) attached by ``RunConfig(observe=True)`` runs;
     #: excluded from :meth:`to_dict` for the same golden-JSON reason
     obs: Optional[Dict[str, object]] = None
     #: per-tenant report (``riommu-repro/tenants/v1``) attached by the

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
-from repro.config import UNSET, RunConfig, resolve_run_config
+from repro.config import RunConfig
 from repro.modes import ALL_MODES, Mode
 from repro.obs.profile import RunObserver
 from repro.obs.tracer import TRACE
@@ -33,18 +33,14 @@ def run_benchmark(
     setup: Setup,
     mode: Mode,
     benchmark: str,
-    fast=UNSET,
-    observe=UNSET,
-    engine=UNSET,
-    shards=UNSET,
     *,
     config: Optional[RunConfig] = None,
 ) -> RunResult:
     """Run one benchmark under one mode on one setup.
 
     All run-shaping knobs travel in ``config`` — one frozen
-    :class:`~repro.config.RunConfig` record (datapath build, engine,
-    shard count, observation, timeline window, tenancy scenario).
+    :class:`~repro.config.RunConfig` record (datapath build, shard
+    count, observation, timeline window, tenancy scenario, sizing).
     ``config=None`` resolves the environment (``RunConfig.from_env()``),
     which is what grid worker processes see after the parent exports
     its config.
@@ -57,18 +53,11 @@ def run_benchmark(
     storing its summary on ``result.telemetry`` while keeping the
     columnar datapath and sharded execution active.  Observation is
     strictly observational: every modelled number is bit-identical
-    with it on or off.  Engine and
-    shard choice are equally bit-invisible (see
+    with it on or off.  Shard choice is equally bit-invisible (see
     :mod:`repro.sim.scheduler`; the parity tests pin this).
-
-    The legacy ``fast=``/``engine=``/``shards=`` kwargs still work but
-    are deprecated (one :class:`DeprecationWarning` via
-    :func:`repro.config.resolve_run_config`); ``observe=`` merges
-    silently, with ``None`` deferring to the config.
     """
-    config = resolve_run_config(
-        config, fast=fast, observe=observe, engine=engine, shards=shards
-    )
+    if config is None:
+        config = RunConfig.from_env()
     return run_with_config(setup, mode, benchmark, config)
 
 
@@ -118,9 +107,7 @@ def run_prepared(bench, setup: Setup, mode: Mode, config: RunConfig) -> RunResul
 
 
 def _execute(bench, setup: Setup, mode: Mode, config: RunConfig) -> RunResult:
-    """Dispatch one instantiated workload to the selected engine."""
-    if config.engine == "loop":
-        return bench.run(setup, mode)
+    """Run one instantiated workload on the event kernel."""
     return run_events(bench, setup, mode, config.shards)
 
 
@@ -128,26 +115,22 @@ def run_mode_sweep(
     setup: Setup,
     benchmark: str,
     modes: Iterable[Mode] = ALL_MODES,
-    fast=UNSET,
-    observe=UNSET,
     *,
     config: Optional[RunConfig] = None,
 ) -> Dict[Mode, RunResult]:
     """One benchmark across the given modes (one Figure 12 panel).
 
     Each mode gets a freshly-instantiated workload.  Workloads are
-    parameter holders whose ``run()`` builds a new machine every call
-    (two consecutive ``run()`` calls on one instance give identical
-    results — tested), but per-mode instantiation makes each cell
-    structurally identical to the parallel runner's, and keeps any
-    future stateful workload from bleeding counters between modes.
+    parameter holders whose actors build a new machine every run (two
+    consecutive runs of one instance give identical results — tested),
+    but per-mode instantiation makes each cell structurally identical
+    to the parallel runner's, and keeps any future stateful workload
+    from bleeding counters between modes.
 
-    Knobs ride in ``config`` (see :func:`run_benchmark`); the legacy
-    ``fast=``/``observe=`` kwargs go through the same deprecation shim.
+    Knobs ride in ``config`` (see :func:`run_benchmark`).
     """
-    config = resolve_run_config(
-        config, fast=fast, observe=observe, caller="run_mode_sweep"
-    )
+    if config is None:
+        config = RunConfig.from_env()
     return {
         mode: run_with_config(setup, mode, benchmark, config) for mode in modes
     }
@@ -207,10 +190,8 @@ def run_figure12(
     setups: Iterable[Setup] = ALL_SETUPS,
     benchmarks: Iterable[str] = BENCHMARK_NAMES,
     modes: Iterable[Mode] = ALL_MODES,
-    fast=UNSET,
-    jobs: Optional[int] = None,
-    observe=UNSET,
     *,
+    jobs: Optional[int] = None,
     config: Optional[RunConfig] = None,
 ) -> EvaluationGrid:
     """Run the complete evaluation grid of the paper's Figure 12.
@@ -224,16 +205,16 @@ def run_figure12(
     the config is exported to the environment
     (:meth:`RunConfig.exported`), so worker processes reconstruct it
     bit-identically via ``RunConfig.from_env()`` — observation,
-    engine, shards and the datapath build all reach every cell.
+    shards and the datapath build all reach every cell.  ``config=None``
+    resolves the environment.
 
     When the process-local tracer is recording the grid runs serially
     regardless of ``jobs``: events emitted inside worker processes
     would never reach this process's trace buffer.  Results are
     identical either way (the parity tests pin this).
     """
-    config = resolve_run_config(
-        config, fast=fast, observe=observe, caller="run_figure12"
-    )
+    if config is None:
+        config = RunConfig.from_env()
     with config.exported():
         return _run_grid(setups, benchmarks, modes, config, jobs)
 

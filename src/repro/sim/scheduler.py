@@ -1,14 +1,10 @@
 """Event-scheduled simulation kernel with intra-run domain sharding.
 
-Historically the runner advanced each workload with a fixed Python
-call-order loop: one straight-line function drove the NIC, rings and
-driver to completion.  That was fine for one ring, but the paper's
-datapath is inherently per-ring — every rIOMMU structure (rRINGs,
-rIOTLB entries, invalidation) is keyed by ring/domain — and a fixed
-loop can neither interleave independent domains in modelled-time order
-nor use more than one core for a single big run.
-
-This module replaces the loop with an explicit event-scheduled kernel:
+Every workload runs on this kernel.  The paper's datapath is inherently
+per-ring — every rIOMMU structure (rRINGs, rIOTLB entries,
+invalidation) is keyed by ring/domain — so the kernel interleaves
+independent domains in modelled-time order and can spread one big run
+over several cores:
 
 * **Actors** (:class:`WorkloadActor`) own one independently-advancing
   piece of the simulation — a device/ring/driver complex — and expose
@@ -38,21 +34,14 @@ This module replaces the loop with an explicit event-scheduled kernel:
   with payloads ordered by domain index, so the sharded result is
   bit-identical to the serial one by construction.
 
-Engine selection mirrors the datapath knob::
+The shard count is one knob::
 
-    REPRO_ENGINE={loop,events}   # default: events
     REPRO_SHARDS=N               # default: 1 (serial reference)
 
-The ``events`` engine is bit-exact with the legacy ``loop`` engine in
-every figure-12 mode (same ``to_dict``/``cycles_total``/``obs`` — the
-parity tests pin this): each actor's ``step()`` replays exactly the
-call sequence the legacy loop made between two burst boundaries, and
-single-actor workloads therefore execute the identical call stream.
 With a tracer or observer attached the kernel runs serially in-process
 regardless of ``REPRO_SHARDS`` (worker-process events would never
 reach this process's trace buffer), exactly like the parallel grid
-runner; the TimelineSampler and profiler see the same charge stream at
-the same modelled timestamps as under the loop engine.
+runner.
 """
 
 from __future__ import annotations
@@ -69,27 +58,12 @@ from repro.perf.cycles import CycleAccount, MonotonicClock
 from repro.sim.results import RunResult
 from repro.sim.setups import Setup
 
-# The engine/shard knob constants and resolvers live in repro.config
-# (the single RunConfig.from_env path); the historical names stay
-# importable from here.
-from repro.config import (  # noqa: F401  (re-exported compatibility names)
-    DEFAULT_ENGINE,
-    ENGINE_ENV,
-    ENGINES,
-    SHARDS_ENV,
-    resolve_engine,
-    resolve_shards,
-)
+# The shard knob constant and resolver live in repro.config (the single
+# RunConfig.from_env path); the historical names stay importable here.
+from repro.config import SHARDS_ENV, resolve_shards
 
 #: Schema identifier carried by every checkpoint file.
 CHECKPOINT_SCHEMA = "riommu-repro/checkpoint/v1"
-
-
-def set_engine(engine: str) -> str:
-    """Select the engine process-wide and export it to worker processes."""
-    engine = resolve_engine(engine)
-    os.environ[ENGINE_ENV] = engine
-    return engine
 
 
 def set_shards(shards: int) -> int:
@@ -105,10 +79,11 @@ class WorkloadActor:
     An actor owns a device/ring/driver complex and a cycle account; the
     scheduler reads its position in modelled time off :meth:`clock` and
     calls :meth:`step` to advance it by one burst.  ``step()`` returns
-    True while more bursts remain and False once the actor is finished;
-    every call must replay exactly the call sequence the legacy loop
-    would have made between the same two burst boundaries, which is
-    what makes the event kernel bit-exact with the loop engine.
+    True while more bursts remain and False once the actor is finished.
+    A burst ends at one of the workload's synchronization points, and
+    an actor touches no state shared with another actor between two of
+    them, which is what makes any interleaving of actors (and any shard
+    layout) produce the same modelled numbers.
 
     Actors are explicit state machines rather than generators so a
     mid-run simulation can be pickled and resumed (generators cannot).
@@ -360,15 +335,12 @@ def run_events(
 ) -> RunResult:
     """Run a workload on the event kernel, sharded when it applies.
 
-    Workloads that predate the actor protocol (no ``build_actors``)
-    fall back to their legacy ``run()`` — external registrations keep
-    working unchanged.  With an applicable shard plan and no tracer
-    attached, domains fan out over a worker pool and the per-domain
-    payloads merge in domain order; otherwise a single event heap
-    interleaves every actor in modelled-time order in-process.
+    With an applicable shard plan and no tracer attached, domains fan
+    out over a worker pool and the per-domain payloads merge in domain
+    order; otherwise a single event heap interleaves every actor in
+    modelled-time order in-process.  ``shards=None`` consults
+    ``REPRO_SHARDS``.
     """
-    if not hasattr(workload, "build_actors"):
-        return workload.run(setup, mode)
     plan = shard_plan(workload, resolve_shards(shards))
     if plan is not None and len(plan) > 1 and not TRACE.active:
         from repro.sim.parallel import parallel_map

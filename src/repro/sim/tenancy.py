@@ -585,14 +585,6 @@ class TenantScenario:
             },
         }
 
-    # -- legacy loop engine ---------------------------------------------
-
-    def run(self, setup: Setup, mode: Mode) -> RunResult:
-        """Fixed call-order reference: domains run one after another."""
-        return self.finalize_domains(
-            self.run_domains(setup, mode, range(self.domains)), setup, mode
-        )
-
 
 class TenantActor(WorkloadActor):
     """A tenant's workload actor, instrumented for latency and stalls.

@@ -67,7 +67,7 @@ def test_plan_dedupes_shared_arms(small_plan):
 
 def test_full_registry_plan_covers_all_components():
     plan = build_plan(select_components(None), ArmSpec(fast=True))
-    assert len(plan.pairs) == len(COMPONENTS) >= 6
+    assert len(plan.pairs) == len(COMPONENTS) >= 5
     for _name, present, removed in plan.pairs:
         assert present in plan.arms and removed in plan.arms
 

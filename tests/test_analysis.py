@@ -14,6 +14,7 @@ from repro.analysis import (
     table2_from_grid,
 )
 from repro.analysis.paper_data import PAPER_TABLE2, TABLE2_DENOMINATORS
+from repro.config import RunConfig
 from repro.modes import ALL_MODES, BASELINE_MODES, Mode
 from repro.perf import TABLE1_CYCLES, Component
 from repro.sim import run_figure12
@@ -98,7 +99,7 @@ def test_figure8_model_validation():
 
 @pytest.fixture(scope="module")
 def grid():
-    return run_figure12(fast=True)
+    return run_figure12(config=RunConfig(fast=True))
 
 
 def test_grid_covers_everything(grid):

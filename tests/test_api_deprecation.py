@@ -134,9 +134,8 @@ def test_facade_exports_are_complete_and_importable():
 
 
 def test_facade_run_mode_sweep_smoke():
-    # config= is the warning-clean spelling; the module-level marker
-    # escalates DeprecationWarning, so this doubles as the proof that
-    # the RunConfig path never trips the legacy-kwarg shim.
+    # The module-level marker escalates DeprecationWarning, so this
+    # doubles as the proof that the config= path is warning-clean.
     from repro.api import MLX_SETUP, RunConfig, run_mode_sweep
 
     results = run_mode_sweep(
@@ -145,14 +144,6 @@ def test_facade_run_mode_sweep_smoke():
     )
     assert set(results) == {Mode.NONE, Mode.RIOMMU}
     assert all(r.cycles_per_packet > 0 for r in results.values())
-
-
-def test_legacy_run_kwargs_warn_but_work():
-    from repro.api import MLX_SETUP, run_benchmark
-
-    with pytest.warns(DeprecationWarning, match="run_benchmark"):
-        result = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", fast=True)
-    assert result.cycles_per_packet > 0
 
 
 # -- the benchmark registry ------------------------------------------------

@@ -2,8 +2,8 @@
 
 ``repro.devices.dma`` gates the bulk translate/copy paths and
 ``repro.perf.cycles`` gates the staged (counter-based) charge
-accumulator behind module-global ``BATCH_ENABLED`` flags (cleared by
-``REPRO_DISABLE_BATCH`` at import time).  These tests run identical
+accumulator behind module-global ``BATCH_ENABLED`` flags (cleared
+under ``REPRO_DATAPATH=scalar``).  These tests run identical
 operation sequences with the flags on and off and assert that every
 observable — returned bytes, physical memory contents, DMA/IOTLB/
 translation statistics, cycle accounts (bit-for-bit), and faults,
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import RunConfig
 import repro.devices.dma as dma_mod
 import repro.perf.cycles as cycles_mod
 from repro.devices.dma import DmaBus, IommuBackend
@@ -235,7 +236,9 @@ def test_partial_scatter_before_fault_identical():
 
 
 def _cell(mode, benchmark):
-    return run_benchmark(MLX_SETUP, mode, benchmark, fast=True).to_dict()
+    return run_benchmark(
+        MLX_SETUP, mode, benchmark, config=RunConfig(fast=True)).to_dict(
+    )
 
 
 @pytest.mark.parametrize("mode", [Mode.STRICT, Mode.DEFER, Mode.RIOMMU])

@@ -19,6 +19,7 @@ from repro.sim.netperf import NetperfRR, NetperfStream
 from repro.sim.scheduler import (
     EventSim,
     load_checkpoint,
+    run_events,
     save_checkpoint,
 )
 from repro.sim.setups import MLX_SETUP
@@ -71,7 +72,9 @@ def test_resume_at_every_phase_boundary(tmp_path):
 
 def test_stream_checkpoint_roundtrip(tmp_path):
     workload = NetperfStream(packets=120, warmup=30)
-    reference = NetperfStream(packets=120, warmup=30).run(MLX_SETUP, Mode.STRICT)
+    reference = run_events(
+        NetperfStream(packets=120, warmup=30), MLX_SETUP, Mode.STRICT
+    )
     sim = EventSim(workload, MLX_SETUP, Mode.STRICT)
     sim.run(max_events=2)
     path = tmp_path / "stream.ckpt"
@@ -84,7 +87,7 @@ def test_stream_checkpoint_roundtrip(tmp_path):
 def test_multi_domain_checkpoint_roundtrip(tmp_path):
     """A mid-run multi-domain sim (interleaved heap) resumes exactly."""
     spec = dict(domains=3, packets=80, warmup=20)
-    reference = MultiRingStream(**spec).run(MLX_SETUP, Mode.DEFER)
+    reference = run_events(MultiRingStream(**spec), MLX_SETUP, Mode.DEFER)
     sim = EventSim(MultiRingStream(**spec), MLX_SETUP, Mode.DEFER)
     sim.run(max_events=4)
     path = tmp_path / "mstream.ckpt"

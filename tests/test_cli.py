@@ -17,6 +17,15 @@ def test_parser_rejects_unknown_experiment():
         build_parser().parse_args(["no-such-thing"])
 
 
+def test_parser_offers_exactly_the_two_builds_and_no_engine():
+    parser = build_parser()
+    for build in ("scalar", "columnar"):
+        assert parser.parse_args(["table1", "--datapath", build]).datapath == build
+    for argv in (["table1", "--datapath", "batched"], ["table1", "--engine", "loop"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+
+
 def test_run_single_experiment(capsys):
     assert main(["miss-penalty", "--fast"]) == 0
     out = capsys.readouterr().out

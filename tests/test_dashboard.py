@@ -13,6 +13,7 @@ import pytest
 
 from repro.analysis.dashboard import RunReport, run_report
 from repro.cli import build_parser, main as cli_main
+from repro.config import RunConfig
 from repro.modes import Mode
 from repro.obs.tracer import TRACE
 from repro.sim.runner import run_figure12
@@ -152,6 +153,6 @@ def test_golden_figure12_bit_identical_with_observers_on():
     observability existed (``obs`` is deliberately outside
     ``RunResult.to_dict``).
     """
-    observed = run_figure12(fast=True, jobs=1, observe=True).to_dict()
+    observed = run_figure12(jobs=1, config=RunConfig(fast=True, observe=True)).to_dict()
     golden = json.loads(GOLDEN.read_text())
     assert observed == golden

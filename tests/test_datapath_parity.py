@@ -1,10 +1,10 @@
-"""Datapath-build parity matrix: scalar == batched == columnar, bit-exactly.
+"""Datapath-build parity matrix: scalar == columnar, bit-exactly.
 
-The columnar tentpole's contract: every figure-12 mode, under every
-datapath build, with observers on or off, produces bit-identical
+The columnar build's contract: every figure-12 mode, under both
+datapath builds, with observers on or off, produces bit-identical
 modelled numbers (``cycles_total``, statistics, the whole run dict and
 metrics summary).  With observers on, the CycleProfiler fold must
-reconcile bit-exactly against ``cycles_total`` under every build, and a
+reconcile bit-exactly against ``cycles_total`` under both builds, and a
 single perturbed charge in a columnar-build trace must still localize
 to the exact diverging record — observability keeps its teeth no matter
 which build ran.
@@ -15,6 +15,7 @@ import copy
 import pytest
 
 from repro import datapath
+from repro.config import RunConfig
 from repro.analysis.diff import _run_live
 from repro.modes import ALL_MODES
 from repro.obs.diffing import diff_traces
@@ -33,30 +34,30 @@ def _restore_default_build():
 
 def _run(mode, build, observe):
     datapath.set_datapath(build)
-    return run_benchmark(MLX_SETUP, mode, "rr", fast=True, observe=observe)
+    return run_benchmark(
+        MLX_SETUP, mode, "rr", config=RunConfig(fast=True, observe=observe)
+    )
 
 
-# -- the matrix: every mode x every build x observers on/off -------------
+# -- the matrix: every mode x both builds x observers on/off -------------
 
 
 @pytest.mark.parametrize("observe", [False, True], ids=["observe-off", "observe-on"])
 @pytest.mark.parametrize("mode", ALL_MODES, ids=[m.label for m in ALL_MODES])
 def test_parity_matrix(mode, observe):
     reference = _run(mode, "scalar", observe)
-    ref_dict = reference.to_dict()
-    for build in ("batched", "columnar"):
-        result = _run(mode, build, observe)
-        assert result.cycles_total == reference.cycles_total, build
-        assert result.to_dict() == ref_dict, build
-        if observe:
-            # The whole observability summary — profiler attribution,
-            # metrics snapshot, audit — is build-invariant too.
-            assert result.obs == reference.obs, build
-            assert result.obs["profile"]["reconciles"] is True, build
-            assert result.obs["profile"]["reconcile_delta"] == 0.0, build
-            assert result.obs["profile"]["total_cycles"] == result.cycles_total, build
-        else:
-            assert result.obs is None, build
+    result = _run(mode, "columnar", observe)
+    assert result.cycles_total == reference.cycles_total
+    assert result.to_dict() == reference.to_dict()
+    if observe:
+        # The whole observability summary — profiler attribution,
+        # metrics snapshot, audit — is build-invariant too.
+        assert result.obs == reference.obs
+        assert result.obs["profile"]["reconciles"] is True
+        assert result.obs["profile"]["reconcile_delta"] == 0.0
+        assert result.obs["profile"]["total_cycles"] == result.cycles_total
+    else:
+        assert result.obs is None
 
 
 # -- observer-on reconciliation is exact under the columnar build --------
@@ -65,7 +66,9 @@ def test_parity_matrix(mode, observe):
 @pytest.mark.parametrize("mode", ALL_MODES, ids=[m.label for m in ALL_MODES])
 def test_columnar_build_reconciles_with_observers_on(mode):
     datapath.set_datapath("columnar")
-    result = run_benchmark(MLX_SETUP, mode, "stream", fast=True, observe=True)
+    result = run_benchmark(
+        MLX_SETUP, mode, "stream", config=RunConfig(fast=True, observe=True)
+    )
     profile = result.obs["profile"]
     assert profile["reconciles"] is True
     assert profile["reconcile_delta"] == 0.0

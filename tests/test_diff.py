@@ -9,6 +9,7 @@ import json
 import pytest
 
 from repro.analysis.diff import _run_live, main as diff_main, run_diff
+from repro.config import RunConfig
 from repro.obs.diffing import (
     DIFF_SCHEMA,
     diff_metrics,
@@ -159,7 +160,10 @@ def _observed_timeline(mode_label):
     from repro.sim.setups import MLX_SETUP
 
     result = run_benchmark(
-        MLX_SETUP, Mode(mode_label), "rr", fast=True, observe=True
+        MLX_SETUP,
+        Mode(mode_label),
+        "rr",
+        config=RunConfig(fast=True, observe=True),
     )
     return result.obs["timeline"]
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis.ascii_plot import bar_chart, stacked_bar_chart, xy_plot
+from repro.config import RunConfig
 from repro.modes import Mode
 from repro.prefetch import (
     EventKind,
@@ -69,7 +70,9 @@ def test_property_trace_roundtrip(tmp_path_factory, events):
 
 
 def test_run_result_to_dict():
-    result = run_benchmark(MLX_SETUP, Mode.NONE, "memcached", fast=True)
+    result = run_benchmark(
+        MLX_SETUP, Mode.NONE, "memcached", config=RunConfig(fast=True)
+    )
     data = result.to_dict()
     assert data["mode"] == "none"
     assert data["benchmark"] == "memcached"
@@ -79,8 +82,10 @@ def test_run_result_to_dict():
 
 def test_grid_save_json(tmp_path):
     grid = run_figure12(
-        setups=[MLX_SETUP], benchmarks=["memcached"], modes=[Mode.NONE, Mode.RIOMMU],
-        fast=True,
+        setups=[MLX_SETUP],
+        benchmarks=["memcached"],
+        modes=[Mode.NONE, Mode.RIOMMU],
+        config=RunConfig(fast=True),
     )
     path = tmp_path / "grid.json"
     grid.save_json(path)

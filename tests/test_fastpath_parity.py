@@ -2,8 +2,8 @@
 
 ``repro.memory.physical`` and ``repro.devices.dma`` gate their
 single-page fast paths and the per-burst translation memo behind the
-module-global ``FASTPATH_ENABLED`` (cleared by the
-``REPRO_DISABLE_FASTPATH`` environment variable at import time).  These
+module-global ``FASTPATH_ENABLED`` (cleared under
+``REPRO_DATAPATH=scalar``).  These
 tests monkeypatch the flag off and check that simulation results,
 memory semantics, and error behaviour are bit-for-bit unchanged —
 the fast paths may only change wall-clock time, never a modelled number.
@@ -11,6 +11,7 @@ the fast paths may only change wall-clock time, never a modelled number.
 
 import pytest
 
+from repro.config import RunConfig
 import repro.devices.dma as dma_mod
 import repro.memory.physical as physical_mod
 from repro.memory import MemorySystem, PAGE_SIZE, PhysicalMemory
@@ -26,7 +27,7 @@ def no_fastpath(monkeypatch):
 
 
 def _cell(setup=MLX_SETUP, mode=Mode.STRICT, benchmark="stream"):
-    return run_benchmark(setup, mode, benchmark, fast=True).to_dict()
+    return run_benchmark(setup, mode, benchmark, config=RunConfig(fast=True)).to_dict()
 
 
 def test_fastpath_flag_defaults_on():
@@ -53,13 +54,19 @@ def test_cell_results_identical_without_fastpath(no_fastpath, bench, mode):
 def test_mode_sweep_identical_without_fastpath(no_fastpath):
     """A whole Figure 12 panel is unchanged, including mode ordering."""
     slow = run_mode_sweep(
-        MLX_SETUP, "rr", modes=(Mode.NONE, Mode.STRICT, Mode.RIOMMU), fast=True
+        MLX_SETUP,
+        "rr",
+        modes=(Mode.NONE, Mode.STRICT, Mode.RIOMMU),
+        config=RunConfig(fast=True),
     )
     physical_mod.FASTPATH_ENABLED = True
     dma_mod.FASTPATH_ENABLED = True
     try:
         fast = run_mode_sweep(
-            MLX_SETUP, "rr", modes=(Mode.NONE, Mode.STRICT, Mode.RIOMMU), fast=True
+            MLX_SETUP,
+            "rr",
+            modes=(Mode.NONE, Mode.STRICT, Mode.RIOMMU),
+            config=RunConfig(fast=True),
         )
     finally:
         physical_mod.FASTPATH_ENABLED = False

@@ -7,18 +7,19 @@ and where the crossovers fall.
 
 import pytest
 
+from repro.config import RunConfig
 from repro.modes import ALL_MODES, Mode
 from repro.sim import MLX_SETUP, BRCM_SETUP, run_mode_sweep
 
 
 @pytest.fixture(scope="module")
 def mlx_stream():
-    return run_mode_sweep(MLX_SETUP, "stream", fast=True)
+    return run_mode_sweep(MLX_SETUP, "stream", config=RunConfig(fast=True))
 
 
 @pytest.fixture(scope="module")
 def brcm_stream():
-    return run_mode_sweep(BRCM_SETUP, "stream", fast=True)
+    return run_mode_sweep(BRCM_SETUP, "stream", config=RunConfig(fast=True))
 
 
 def test_abstract_claim_up_to_7x_over_baseline(mlx_stream):
@@ -116,10 +117,16 @@ def test_memcached_more_sensitive_than_apache_1k():
     """§5.2: memcached's lighter per-request logic makes IOMMU differences
     more pronounced than Apache 1KB's."""
     apache = run_mode_sweep(
-        MLX_SETUP, "apache 1K", modes=(Mode.STRICT, Mode.RIOMMU), fast=True
+        MLX_SETUP,
+        "apache 1K",
+        modes=(Mode.STRICT, Mode.RIOMMU),
+        config=RunConfig(fast=True),
     )
     memcached = run_mode_sweep(
-        MLX_SETUP, "memcached", modes=(Mode.STRICT, Mode.RIOMMU), fast=True
+        MLX_SETUP,
+        "memcached",
+        modes=(Mode.STRICT, Mode.RIOMMU),
+        config=RunConfig(fast=True),
     )
     apache_gain = (
         apache[Mode.RIOMMU].throughput_metric / apache[Mode.STRICT].throughput_metric
@@ -134,8 +141,10 @@ def test_memcached_more_sensitive_than_apache_1k():
 def test_rr_improvement_is_modest():
     """Table 2: RR gains are small (1.02-1.25x) because CPU demand is low."""
     rr = run_mode_sweep(
-        MLX_SETUP, "rr", modes=(Mode.STRICT, Mode.DEFER_PLUS, Mode.RIOMMU, Mode.NONE),
-        fast=True,
+        MLX_SETUP,
+        "rr",
+        modes=(Mode.STRICT, Mode.DEFER_PLUS, Mode.RIOMMU, Mode.NONE),
+        config=RunConfig(fast=True),
     )
     gain_vs_strict = (
         rr[Mode.RIOMMU].throughput_metric / rr[Mode.STRICT].throughput_metric

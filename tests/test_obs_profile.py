@@ -9,6 +9,7 @@ property (observers on never change a modelled number).
 
 import pytest
 
+from repro.config import RunConfig
 from repro.modes import ALL_MODES, Mode
 from repro.obs.profile import CycleProfiler, RunObserver, observe_requested
 from repro.obs.tracer import TRACE
@@ -135,7 +136,9 @@ def test_profiler_moves_pre_reset_cycles_to_warmup_phase():
 @pytest.mark.parametrize("mode", ALL_MODES, ids=[m.label for m in ALL_MODES])
 @pytest.mark.parametrize("bench", ["stream", "rr"])
 def test_attribution_reconciles_for_every_mode(mode, bench):
-    result = run_benchmark(MLX_SETUP, mode, bench, fast=True, observe=True)
+    result = run_benchmark(
+        MLX_SETUP, mode, bench, config=RunConfig(fast=True, observe=True)
+    )
     profile = result.obs["profile"]
     assert profile["reconciles"] is True
     assert profile["reconcile_delta"] == 0.0
@@ -147,8 +150,12 @@ def test_attribution_reconciles_for_every_mode(mode, bench):
 
 
 def test_layer_breakdown_names_the_charging_driver():
-    strict = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", fast=True, observe=True)
-    riommu = run_benchmark(MLX_SETUP, Mode.RIOMMU, "rr", fast=True, observe=True)
+    strict = run_benchmark(
+        MLX_SETUP, Mode.STRICT, "rr", config=RunConfig(fast=True, observe=True)
+    )
+    riommu = run_benchmark(
+        MLX_SETUP, Mode.RIOMMU, "rr", config=RunConfig(fast=True, observe=True)
+    )
     assert "iommu-driver" in strict.obs["profile"]["by_layer"]
     assert "riommu-driver" in riommu.obs["profile"]["by_layer"]
 
@@ -156,13 +163,12 @@ def test_layer_breakdown_names_the_charging_driver():
 # -- strict observational parity -----------------------------------------
 
 
-def _slice_dict(**kwargs):
+def _slice_dict(observe=False):
     return run_figure12(
         setups=ALL_SETUPS,
         benchmarks=("rr", "memcached"),
         modes=(Mode.NONE, Mode.STRICT, Mode.DEFER, Mode.RIOMMU),
-        fast=True,
-        **kwargs,
+        config=RunConfig(fast=True, observe=observe),
     ).to_dict()
 
 
@@ -171,9 +177,11 @@ def test_figure12_slice_bit_identical_with_observation_on():
 
 
 def test_observation_composes_with_recording_tracer():
-    plain = run_benchmark(MLX_SETUP, Mode.DEFER, "rr", fast=True)
+    plain = run_benchmark(MLX_SETUP, Mode.DEFER, "rr", config=RunConfig(fast=True))
     TRACE.enable()
-    observed = run_benchmark(MLX_SETUP, Mode.DEFER, "rr", fast=True, observe=True)
+    observed = run_benchmark(
+        MLX_SETUP, Mode.DEFER, "rr", config=RunConfig(fast=True, observe=True)
+    )
     TRACE.disable()
     assert observed.to_dict() == plain.to_dict()
     assert observed.obs["profile"]["reconciles"] is True
@@ -185,17 +193,15 @@ def test_observed_grid_identical_serial_vs_parallel():
         setups=(MLX_SETUP,),
         benchmarks=("rr",),
         modes=(Mode.STRICT, Mode.DEFER, Mode.RIOMMU),
-        fast=True,
         jobs=1,
-        observe=True,
+        config=RunConfig(fast=True, observe=True),
     )
     parallel = run_figure12(
         setups=(MLX_SETUP,),
         benchmarks=("rr",),
         modes=(Mode.STRICT, Mode.DEFER, Mode.RIOMMU),
-        fast=True,
         jobs=2,
-        observe=True,
+        config=RunConfig(fast=True, observe=True),
     )
     assert serial.to_dict() == parallel.to_dict()
     for mode in (Mode.STRICT, Mode.DEFER, Mode.RIOMMU):
@@ -212,12 +218,14 @@ def test_observe_env_flag(monkeypatch):
     assert not observe_requested()
     monkeypatch.setenv("REPRO_OBSERVE", "1")
     assert observe_requested()
-    result = run_benchmark(MLX_SETUP, Mode.NONE, "rr", fast=True)
+    result = run_benchmark(
+        MLX_SETUP, Mode.NONE, "rr", config=RunConfig.from_env(fast=True)
+    )
     assert result.obs is not None
 
 
 def test_unobserved_run_attaches_no_summary():
-    result = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", fast=True)
+    result = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", config=RunConfig(fast=True))
     assert result.obs is None
     assert not TRACE.active  # observer cleaned up, nothing left behind
 

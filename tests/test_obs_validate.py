@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.config import RunConfig
 from repro.modes import Mode
 from repro.obs.export import write_jsonl
 from repro.obs.tracer import TRACE
@@ -29,7 +30,7 @@ def _clean_global_tracer():
 def trace_path(tmp_path):
     """A real JSONL trace captured from one fast benchmark run."""
     TRACE.enable()
-    run_benchmark(MLX_SETUP, Mode.RIOMMU, "rr", fast=True)
+    run_benchmark(MLX_SETUP, Mode.RIOMMU, "rr", config=RunConfig(fast=True))
     TRACE.disable()
     path = tmp_path / "run.jsonl"
     write_jsonl(TRACE, path)
@@ -121,7 +122,9 @@ def timeline_path(tmp_path):
     """A timeline JSONL exported from one observed run."""
     from repro.obs.timeline import write_timeline
 
-    result = run_benchmark(MLX_SETUP, Mode.DEFER, "rr", fast=True, observe=True)
+    result = run_benchmark(
+        MLX_SETUP, Mode.DEFER, "rr", config=RunConfig(fast=True, observe=True)
+    )
     path = tmp_path / "timeline.jsonl"
     write_timeline(result.obs["timeline"], path)
     return path

@@ -7,10 +7,12 @@ runner before any of the hot-path optimisations landed.
 """
 
 import json
+import os
 import pathlib
 
 import pytest
 
+from repro.config import RunConfig
 from repro.modes import ALL_MODES, Mode
 from repro.sim.parallel import (
     grid_cells,
@@ -51,14 +53,38 @@ def test_parallel_map_serial_path_preserves_order_and_exceptions():
 
 def test_parallel_map_unpicklable_falls_back_to_serial():
     # A lambda cannot be pickled, so the pool path must degrade to the
-    # in-process loop instead of blowing up.
-    assert parallel_map(lambda x: x + 1, [1, 2, 3], max_workers=2) == [2, 3, 4]
+    # in-process loop instead of blowing up — and say that it did.
+    with pytest.warns(RuntimeWarning, match="not picklable"):
+        result = parallel_map(lambda x: x + 1, [1, 2, 3], max_workers=2)
+    assert result == [2, 3, 4]
+
+
+def _record_call_then_raise(item):
+    """Append this call's PID to the log file, then fail like a bad fn."""
+    log, _ = item
+    with open(log, "a") as handle:
+        handle.write(f"{os.getpid()}\n")
+    raise TypeError("fn itself failed")
+
+
+def test_parallel_map_fn_exception_propagates_once(tmp_path, recwarn):
+    # An exception raised by fn (even one of the types a pickling
+    # failure raises) is the workload's error, not a pool failure: it
+    # must propagate without a serial rerun in this process.
+    log = tmp_path / "calls.log"
+    items = [(str(log), i) for i in range(4)]
+    with pytest.raises(TypeError, match="fn itself failed"):
+        parallel_map(_record_call_then_raise, items, max_workers=2)
+    pids = log.read_text().split()
+    assert 1 <= len(pids) <= len(items)
+    assert str(os.getpid()) not in pids
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_run_cell_matches_run_benchmark():
     from repro.sim.runner import run_benchmark
 
-    direct = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", fast=True)
+    direct = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", config=RunConfig(fast=True))
     via_cell = run_cell(("mlx", "rr", "strict", True))
     assert direct.to_dict() == via_cell.to_dict()
 
@@ -84,13 +110,14 @@ def test_grid_parallel_identical_to_serial():
 def test_run_figure12_jobs_parity_and_golden():
     """Full fast grid: jobs=1 == jobs=4 == the pre-optimisation golden.
 
-    The golden file was captured from ``run_figure12(fast=True)`` before
+    The golden file was captured from ``run_figure12`` at fast sizes before
     the single-page fast paths, the translation memo, and the parallel
     runner existed — so this test pins both parallel/serial parity *and*
     that the optimisations changed no modelled number.
     """
-    serial = run_figure12(fast=True, jobs=1).to_dict()
-    parallel = run_figure12(fast=True, jobs=4).to_dict()
+    config = RunConfig.from_env(fast=True)
+    serial = run_figure12(jobs=1, config=config).to_dict()
+    parallel = run_figure12(jobs=4, config=config).to_dict()
     assert serial == parallel
     golden = json.loads(GOLDEN.read_text())
     assert serial == golden
@@ -102,7 +129,7 @@ def test_run_grid_defaults_cover_all_benchmarks():
 
 
 def test_knob_env_exports_reach_worker_processes(monkeypatch):
-    """set_datapath/set_engine/set_shards and REPRO_OBSERVE must be
+    """set_datapath/set_shards and REPRO_OBSERVE must be
     visible inside ``run_grid``'s worker processes, not just the parent.
 
     The knobs work by exporting environment variables that fork (or
@@ -116,13 +143,11 @@ def test_knob_env_exports_reach_worker_processes(monkeypatch):
     from repro.obs.profile import OBSERVE_ENV
     from repro.sim import scheduler
 
-    names = (datapath.ENV_VAR, OBSERVE_ENV, scheduler.ENGINE_ENV,
-             scheduler.SHARDS_ENV)
+    names = (datapath.ENV_VAR, OBSERVE_ENV, scheduler.SHARDS_ENV)
     # monkeypatch registers restores for every name before the sets.
     for name in names:
         monkeypatch.delenv(name, raising=False)
-    datapath.set_datapath("batched")
-    scheduler.set_engine("events")
+    datapath.set_datapath("scalar")
     scheduler.set_shards(3)
     monkeypatch.setenv(OBSERVE_ENV, "1")
     try:
@@ -132,8 +157,7 @@ def test_knob_env_exports_reach_worker_processes(monkeypatch):
     finally:
         datapath.set_datapath(datapath.DEFAULT_BUILD)
     for probe in probes:
-        assert probe[datapath.ENV_VAR] == "batched"
+        assert probe[datapath.ENV_VAR] == "scalar"
         assert probe[OBSERVE_ENV] == "1"
-        assert probe[scheduler.ENGINE_ENV] == "events"
         assert probe[scheduler.SHARDS_ENV] == "3"
         assert probe["_pid"]

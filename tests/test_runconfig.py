@@ -1,15 +1,13 @@
-"""The unified RunConfig surface: round trips, shims, worker parity.
+"""The unified RunConfig surface: round trips, the runner, worker parity.
 
-The api_redesign contract: every run-shaping knob lives in one frozen
-``RunConfig``; the environment is just its wire format
-(``from_env(to_env()) == config``); the legacy kwargs and the
-pre-PR-6 veto variables keep working through exactly one deprecation
-funnel; and grid worker processes reconstruct the parent's config
-bit-identically from the exported environment.
+The contract: every run-shaping knob lives in one frozen ``RunConfig``;
+the environment is just its wire format (``from_env(to_env()) ==
+config``); the runner facade takes knobs only as ``config=``; and grid
+worker processes reconstruct the parent's config bit-identically from
+the exported environment.
 """
 
 import os
-import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -17,21 +15,15 @@ import pytest
 from repro.config import (
     DATAPATH_ENV,
     DEFAULT_BUILD,
-    DEFAULT_ENGINE,
-    ENGINE_ENV,
     ENV_VARS,
-    LEGACY_BATCH_ENV,
-    LEGACY_FASTPATH_ENV,
     OBSERVE_ENV,
     SHARDS_ENV,
     TENANCY_ENV,
     TIMELINE_WINDOW_ENV,
     RunConfig,
-    datapath_from_env,
-    resolve_run_config,
 )
 from repro.modes import Mode
-from repro.sim.runner import run_benchmark, run_with_config
+from repro.sim import runner
 from repro.sim.setups import MLX_SETUP
 from repro.sim.tenancy import preset_scenario
 
@@ -39,7 +31,7 @@ from repro.sim.tenancy import preset_scenario
 @pytest.fixture(autouse=True)
 def _clean_knob_env(monkeypatch):
     """Every test sees a pristine knob environment."""
-    for name in ENV_VARS + (LEGACY_FASTPATH_ENV, LEGACY_BATCH_ENV):
+    for name in ENV_VARS:
         monkeypatch.delenv(name, raising=False)
 
 
@@ -50,7 +42,6 @@ def test_defaults_match_the_documented_knob_defaults():
     config = RunConfig()
     assert config.fast is False
     assert config.datapath == DEFAULT_BUILD
-    assert config.engine == DEFAULT_ENGINE
     assert config.shards == 1
     assert config.observe == "off"
     assert config.timeline_window is None
@@ -60,16 +51,16 @@ def test_defaults_match_the_documented_knob_defaults():
 def test_config_is_frozen():
     config = RunConfig()
     with pytest.raises(FrozenInstanceError):
-        config.engine = "loop"
+        config.datapath = "scalar"
 
 
 def test_bad_build_and_engine_fail_loudly():
     with pytest.raises(ValueError, match="unknown datapath build"):
         RunConfig(datapath="vectorized")
-    with pytest.raises(ValueError, match="unknown engine"):
-        RunConfig(engine="vroom")
-    with pytest.raises(ValueError, match="unknown engine"):
-        RunConfig.from_env({ENGINE_ENV: "vroom"})
+    with pytest.raises(ValueError, match="unknown datapath build"):
+        RunConfig.from_env({DATAPATH_ENV: "batched"})
+    with pytest.raises(TypeError):
+        RunConfig(engine="events")
 
 
 def test_observe_accepts_levels_and_legacy_bools():
@@ -106,8 +97,7 @@ def test_shards_normalize_at_construction():
 def test_to_env_from_env_round_trips_every_field():
     config = RunConfig(
         fast=True,
-        datapath="batched",
-        engine="loop",
+        datapath="scalar",
         shards=4,
         observe=True,
         timeline_window=5000.0,
@@ -132,106 +122,73 @@ def test_to_env_omits_unset_optionals():
 def test_from_env_reads_the_documented_variables():
     env = {
         DATAPATH_ENV: "scalar",
-        ENGINE_ENV: "loop",
         SHARDS_ENV: "3",
         OBSERVE_ENV: "1",
         TIMELINE_WINDOW_ENV: "250000.0",
     }
     config = RunConfig.from_env(env)
     assert config.datapath == "scalar"
-    assert config.engine == "loop"
     assert config.shards == 3
     assert config.observe == "full"
     assert config.timeline_window == 250000.0
 
 
 def test_exported_sets_then_restores_the_environment():
-    os.environ[ENGINE_ENV] = "loop"
+    os.environ[DATAPATH_ENV] = "scalar"
     os.environ.pop(SHARDS_ENV, None)
-    config = RunConfig(engine="events", shards=2, tenancy=preset_scenario("balanced"))
+    config = RunConfig(
+        datapath="columnar", shards=2, tenancy=preset_scenario("balanced")
+    )
     with config.exported():
-        assert os.environ[ENGINE_ENV] == "events"
+        assert os.environ[DATAPATH_ENV] == "columnar"
         assert os.environ[SHARDS_ENV] == "2"
         assert TENANCY_ENV in os.environ
         assert RunConfig.from_env() == replace(config, fast=False)
-    assert os.environ[ENGINE_ENV] == "loop"
+    assert os.environ[DATAPATH_ENV] == "scalar"
     assert SHARDS_ENV not in os.environ
     assert TENANCY_ENV not in os.environ
 
 
-# -- the legacy veto variables -------------------------------------------
+def test_foreign_repro_variables_are_ignored():
+    # Removed knobs (the engine selector, the datapath vetoes) are now
+    # foreign variables like any other REPRO_* name.
+    env = {"REPRO_ENGINE": "loop", "REPRO_DISABLE_FASTPATH": "1"}
+    assert RunConfig.from_env(env) == RunConfig()
 
 
-def test_legacy_fastpath_veto_warns_and_downgrades_the_build():
-    with pytest.warns(DeprecationWarning, match=LEGACY_FASTPATH_ENV):
-        build = datapath_from_env({LEGACY_FASTPATH_ENV: "1"})
-    assert build == "batched"   # columnar needs both fast paths
-    with pytest.warns(DeprecationWarning):
-        both = datapath_from_env(
-            {LEGACY_FASTPATH_ENV: "1", LEGACY_BATCH_ENV: "1"}
-        )
-    assert both == "scalar"
+# -- the runner takes knobs only as config= ------------------------------
 
 
-def test_legacy_vetoes_reach_from_env_with_one_warning_each():
-    with pytest.warns(DeprecationWarning, match=LEGACY_BATCH_ENV):
-        config = RunConfig.from_env({LEGACY_BATCH_ENV: "1"})
-    assert config.datapath == "batched"
-
-
-# -- the kwarg shim ------------------------------------------------------
-
-
-def test_legacy_kwargs_warn_once_naming_the_replacement():
-    with pytest.warns(DeprecationWarning) as caught:
-        config = resolve_run_config(None, fast=True, engine="loop", shards=2)
-    assert len(caught) == 1
-    message = str(caught[0].message)
-    assert "fast=True" in message and "engine='loop'" in message
-    assert "config=RunConfig(" in message
-    assert config.fast is True
-    assert config.engine == "loop"
-    assert config.shards == 2
-
-
-def test_none_engine_and_shards_consult_env_without_warning():
-    os.environ[ENGINE_ENV] = "loop"
-    os.environ[SHARDS_ENV] = "3"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        config = resolve_run_config(None, engine=None, shards=None)
-    assert config.engine == "loop"
-    assert config.shards == 3
-
-
-def test_observe_kwarg_merges_silently():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        assert resolve_run_config(None, observe=True).observe == "full"
-        assert resolve_run_config(None, observe=None).observe == "off"
-        assert resolve_run_config(None, observe="lite").observe == "lite"
-        explicit = resolve_run_config(RunConfig(observe=True), observe=False)
-    assert explicit.observe == "off"
-
-
-def test_config_argument_passes_through_unchanged():
-    config = RunConfig(fast=True, engine="loop")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        assert resolve_run_config(config) is config
-
-
-# -- behavioural equivalence ---------------------------------------------
-
-
-def test_run_benchmark_config_is_bit_identical_to_legacy_kwargs():
-    with pytest.warns(DeprecationWarning):
-        legacy = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", fast=True)
-    via_config = run_benchmark(
-        MLX_SETUP, Mode.STRICT, "rr", config=RunConfig(fast=True)
+def test_config_argument_passes_through_unchanged(monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        runner, "run_with_config", lambda *args: seen.append(args[-1])
     )
-    direct = run_with_config(MLX_SETUP, Mode.STRICT, "rr", RunConfig(fast=True))
-    assert legacy.to_dict() == via_config.to_dict() == direct.to_dict()
+    config = RunConfig(fast=True, shards=2)
+    runner.run_benchmark(MLX_SETUP, Mode.STRICT, "rr", config=config)
+    runner.run_mode_sweep(MLX_SETUP, "rr", modes=(Mode.NONE,), config=config)
+    assert seen == [config, config]
+    assert all(passed is config for passed in seen)
+
+
+def test_default_config_is_read_from_the_environment(monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        runner, "run_with_config", lambda *args: seen.append(args[-1])
+    )
+    monkeypatch.setenv(SHARDS_ENV, "3")
+    monkeypatch.setenv(OBSERVE_ENV, "lite")
+    runner.run_benchmark(MLX_SETUP, Mode.STRICT, "rr")
+    assert seen == [RunConfig(shards=3, observe="lite")]
+
+
+def test_legacy_run_kwargs_are_gone():
+    with pytest.raises(TypeError):
+        runner.run_benchmark(MLX_SETUP, Mode.STRICT, "rr", fast=True)
+    with pytest.raises(TypeError):
+        runner.run_mode_sweep(MLX_SETUP, "rr", observe=True)
+    with pytest.raises(TypeError):
+        runner.run_figure12(engine="events")
 
 
 def test_worker_pool_reconstructs_an_identical_config():
@@ -241,8 +198,7 @@ def test_worker_pool_reconstructs_an_identical_config():
     from repro.sim.parallel import worker_config_probe
 
     config = RunConfig(
-        datapath="batched",
-        engine="loop",
+        datapath="scalar",
         shards=2,
         observe=True,
         tenancy=preset_scenario("aggressor"),

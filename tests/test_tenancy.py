@@ -32,8 +32,8 @@ from repro.sim.tenancy import (
 )
 
 
-def _run(scenario, mode, engine="events", shards=1):
-    config = RunConfig(fast=True, engine=engine, shards=shards, tenancy=scenario)
+def _run(scenario, mode, shards=1):
+    config = RunConfig(fast=True, shards=shards, tenancy=scenario)
     return run_with_config(MLX_SETUP, mode, "tenants", config)
 
 
@@ -101,11 +101,11 @@ def test_make_benchmark_threads_the_config_tenancy():
 @pytest.mark.parametrize("mode", (Mode.STRICT, Mode.RIOMMU))
 def test_bit_identical_across_engines_and_shard_counts(mode):
     scenario = preset_scenario("balanced")
-    reference = _run(scenario, mode, engine="events", shards=1)
-    for engine, shards in (("loop", 1), ("events", 2), ("events", 4)):
-        other = _run(scenario, mode, engine=engine, shards=shards)
-        assert other.to_dict() == reference.to_dict(), (engine, shards)
-        assert other.tenants == reference.tenants, (engine, shards)
+    reference = _run(scenario, mode, shards=1)
+    for shards in (2, 4):
+        other = _run(scenario, mode, shards=shards)
+        assert other.to_dict() == reference.to_dict(), shards
+        assert other.tenants == reference.tenants, shards
 
 
 def test_finalize_is_invariant_to_payload_permutation():

@@ -14,6 +14,7 @@ import warnings
 
 import pytest
 
+from repro.config import RunConfig
 from repro.modes import ALL_MODES, Mode
 from repro.obs.profile import RunObserver
 from repro.obs.timeline import (
@@ -42,9 +43,9 @@ def _clean_global_tracer():
     TRACE.reset()
 
 
-def _observed_run(setup, mode, benchmark="stream", **kwargs):
+def _observed_run(setup, mode, benchmark="stream"):
     with RunObserver(clock_hz=setup.clock_hz) as observer:
-        result = run_benchmark(setup, mode, benchmark, fast=True, **kwargs)
+        result = run_benchmark(setup, mode, benchmark, config=RunConfig(fast=True))
     return result, observer
 
 
@@ -136,9 +137,8 @@ def test_merge_is_bit_deterministic_across_worker_counts():
             setups=[MLX_SETUP],
             benchmarks=("stream", "rr"),
             modes=[Mode.STRICT, Mode.DEFER],
-            fast=True,
             jobs=jobs,
-            observe=True,
+            config=RunConfig(fast=True, observe=True),
         )
         summaries = [
             result.obs["timeline"]
@@ -200,7 +200,9 @@ def test_narrower_windows_same_total():
     _result, wide = _observed_run(MLX_SETUP, Mode.STRICT)
     TRACE.reset()
     with RunObserver(clock_hz=MLX_SETUP.clock_hz, timeline_window=10_000) as narrow:
-        result = run_benchmark(MLX_SETUP, Mode.STRICT, "stream", fast=True)
+        result = run_benchmark(
+            MLX_SETUP, Mode.STRICT, "stream", config=RunConfig(fast=True)
+        )
     wide_summary = wide.timeline.summary()
     narrow_summary = narrow.timeline.summary()
     assert len(narrow_summary["windows"]) > len(wide_summary["windows"])

@@ -9,6 +9,7 @@ exactly.
 
 import pytest
 
+from repro.config import RunConfig
 from repro.faults import IoPageFault
 from repro.kernel.machine import Machine
 from repro.modes import Mode
@@ -30,7 +31,7 @@ def _fast_grid_dict(**kwargs):
         setups=ALL_SETUPS,
         benchmarks=("rr", "memcached"),
         modes=(Mode.NONE, Mode.STRICT, Mode.DEFER, Mode.RIOMMU),
-        fast=True,
+        config=RunConfig(fast=True),
         **kwargs,
     ).to_dict()
 
@@ -65,9 +66,9 @@ def test_tracing_forces_grid_serial_and_still_matches():
 
 
 def test_per_run_metrics_identical_with_tracing_on():
-    plain = run_benchmark(MLX_SETUP, Mode.RIOMMU, "rr", fast=True)
+    plain = run_benchmark(MLX_SETUP, Mode.RIOMMU, "rr", config=RunConfig(fast=True))
     TRACE.enable()
-    traced = run_benchmark(MLX_SETUP, Mode.RIOMMU, "rr", fast=True)
+    traced = run_benchmark(MLX_SETUP, Mode.RIOMMU, "rr", config=RunConfig(fast=True))
     TRACE.disable()
     assert plain.metrics is not None
     assert traced.metrics == plain.metrics
@@ -81,7 +82,7 @@ def test_trace_reconciles_with_cycle_account_totals():
     ``RunResult.cycles_total`` reports.
     """
     TRACE.enable()
-    result = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", fast=True)
+    result = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", config=RunConfig(fast=True))
     TRACE.disable()
     summary = metrics_summary(TRACE)
     replayed_total = sum(summary["cycles_by_component"].values())
