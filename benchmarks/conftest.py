@@ -15,8 +15,8 @@ import pytest
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
-# Make `import perf_harness` work however pytest is invoked.
-sys.path.insert(0, str(pathlib.Path(__file__).parent))
+# Import the simulator from this checkout, installed or not.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 
 def pytest_collection_modifyitems(config, items):

@@ -21,9 +21,9 @@ in :mod:`repro.sim.components`:
    component cycle attribution that reconciled bit-exactly with
    ``cycles_total`` in its arms.
 4. **Gate**: components whose *removal improves* throughput beyond the
-   noise floor (the same 1% tolerance the bench-history sentinel uses
-   for regressions) are flagged **harmful** and fail the report
-   (exit 1), as does any arm whose attribution failed to reconcile.
+   1% noise floor (see :data:`NOISE_FLOOR`) are flagged **harmful** and
+   fail the report (exit 1), as does any arm whose attribution failed
+   to reconcile.
 
 Reports render in the terminal (:meth:`AblationReport.render`), as
 ``riommu-repro/ablation-report/v1`` JSON (understood by
@@ -57,10 +57,12 @@ from repro.sim.parallel import parallel_map, resolve_jobs
 
 ABLATION_SCHEMA = "riommu-repro/ablation-report/v1"
 
-#: Relative throughput tolerance under which a removal-improves delta is
-#: timer-free modelling noise, not a harmful component.  Matches the
-#: bench-history sentinel's regression tolerance so "harmful here" and
-#: "regression there" mean the same magnitude of effect.
+#: Relative throughput gain a removal must exceed before its component
+#: is flagged harmful.  Arm throughputs are modelled and deterministic,
+#: so this is no timer-noise allowance but a materiality threshold: the
+#: model matches the paper's anchor cells only to within 5-12% (see
+#: ``benchmarks/test_table2.py``), so a sub-1% gain is below anything it
+#: can claim about the real design.
 NOISE_FLOOR = 0.01
 
 #: Default output directory for arm records and reports.

@@ -352,7 +352,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             import json
 
             with open(args.scenario) as handle:
-                scenario = ScenarioSpec.from_dict(json.load(handle))
+                try:
+                    scenario = ScenarioSpec.from_dict(json.load(handle))
+                except ValueError as error:
+                    print(f"--scenario {args.scenario}: {error}", file=sys.stderr)
+                    return 2
         started = time.time()
         result = run_tenants(scenario=scenario, fast=args.fast)
         text = result.render()

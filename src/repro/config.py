@@ -186,7 +186,10 @@ def tenancy_from_env(env: Optional[Mapping[str, str]] = None):
         return None
     from repro.sim.tenancy import ScenarioSpec
 
-    return ScenarioSpec.from_dict(json.loads(raw))
+    try:
+        return ScenarioSpec.from_dict(json.loads(raw))
+    except ValueError as exc:
+        raise ValueError(f"{TENANCY_ENV}: {exc}") from None
 
 
 # -- the configuration record -----------------------------------------------

@@ -34,8 +34,8 @@ from repro.memory.address import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, page_offset
 from repro.memory.physical import MemorySystem
 from repro.obs.tracer import TRACE
 
-#: Single-page translation fast path + per-burst memo (identical model
-#: cycles, less Python overhead).  Governed by ``REPRO_DATAPATH`` (see
+#: Per-burst translation memo in :meth:`IommuBackend.translate_sg`
+#: (identical model cycles, less Python overhead).  Governed by ``REPRO_DATAPATH`` (see
 #: :mod:`repro.datapath`); parity tests also toggle this at runtime.
 FASTPATH_ENABLED = _datapath.FASTPATH_ENABLED
 
@@ -81,14 +81,16 @@ class IommuBackend(TranslationBackend):
     """Baseline IOMMU: translate each page the access touches.
 
     With :meth:`enable_memo` (opted into by the network driver, *not*
-    on by default), repeated accesses to the same (bdf, vpn) within a
-    burst are resolved from a local memo instead of re-entering the
-    full IOMMU datapath.  The memo replays every observable side effect
+    on by default), :meth:`translate_sg` resolves repeated accesses to
+    the same (bdf, vpn) within a burst from a local memo instead of
+    re-entering the full IOMMU datapath.  The memo replays every observable side effect
     of the IOTLB-hit path (counters, traces, permission checks) so
     results and stats are unchanged; it is dropped wholesale whenever
     the IOMMU's attachment epoch or the IOTLB's invalidation generation
     moves, so it can never outlive an unmap or invalidation — the
     deferred-mode vulnerability window is exactly as wide as before.
+    :meth:`translate_range` is the scalar reference: one
+    :meth:`Iommu.translate` per page, no memo.
     """
 
     def __init__(self, iommu: Iommu) -> None:
@@ -104,15 +106,7 @@ class IommuBackend(TranslationBackend):
     def translate_range(
         self, bdf: int, addr: int, size: int, direction: DmaDirection
     ) -> List[Tuple[int, int]]:
-        translate = (
-            self._translate_memo
-            if FASTPATH_ENABLED and self.memo_enabled
-            else self.iommu.translate
-        )
-        # Fast path: the access stays within one page — one translation,
-        # no chunk bookkeeping.  Byte-identical to the loop below.
-        if FASTPATH_ENABLED and 0 < size <= PAGE_SIZE - page_offset(addr):
-            return [(translate(bdf, addr, direction), size)]
+        translate = self.iommu.translate
         ranges: List[Tuple[int, int]] = []
         pos = 0
         while pos < size:
@@ -167,8 +161,10 @@ class IommuBackend(TranslationBackend):
                 vpn = a >> PAGE_SHIFT
                 entry = memo.get((bdf, vpn))
                 if entry is not None:
-                    # Memo hit: replay the IOTLB-hit path's observables
-                    # (see _translate_memo).
+                    # Memo hit: replay the IOTLB-hit path's observables.
+                    # Only unobservable state differs: LRU recency is not
+                    # refreshed, and the context-table staleness check
+                    # is skipped (context entries are synced when written).
                     iommu_stats.translations += 1
                     if trace_hook is not None:
                         trace_hook(bdf, vpn)
@@ -207,52 +203,6 @@ class IommuBackend(TranslationBackend):
         if run_len:
             ranges.append((run_phys, run_len))
         return ranges
-
-    def _translate_memo(self, bdf: int, iova: int, direction: DmaDirection) -> int:
-        """Translate via the memo, falling back to the real datapath.
-
-        The validity token pairs the IOMMU's attachment epoch with the
-        IOTLB's invalidation generation; any attach/detach, IOTLB
-        invalidation, or backing-PTE teardown moves one of them and
-        empties the memo.  Memo hits replay the IOTLB-hit path's
-        observable effects; the only divergence is unobservable — LRU
-        recency is not refreshed, and the context-table staleness check
-        is skipped (context entries are always synced when written).
-        """
-        iommu = self.iommu
-        token = (iommu.epoch, iommu.iotlb.generation)
-        if token != self._memo_token:
-            self._memo.clear()
-            self._memo_token = token
-        vpn = iova >> PAGE_SHIFT
-        entry = self._memo.get((bdf, vpn))
-        if entry is not None:
-            iommu.stats.translations += 1
-            if iommu.trace_hook is not None:
-                iommu.trace_hook(bdf, vpn)
-            if TRACE.active:
-                TRACE.emit("translate", layer="iommu", bdf=bdf, iova=iova)
-                TRACE.emit("iotlb_hit", layer="iommu", bdf=bdf, vpn=vpn)
-                if not entry.backing_valid:
-                    TRACE.emit("iotlb_stale", layer="iommu", bdf=bdf, vpn=vpn)
-            # The context-table lookup reads two entries per translation.
-            iommu.coherency.stats.hardware_reads += 2
-            stats = iommu.iotlb.stats
-            stats.hits += 1
-            if not entry.backing_valid:
-                stats.stale_hits += 1
-            if not direction_allowed(entry.perms, direction):
-                raise PermissionFault(
-                    f"IOVA {iova:#x} does not permit {direction!r}",
-                    bdf=bdf,
-                    iova=iova,
-                )
-            return entry.frame_addr | (iova & PAGE_MASK)
-        phys = iommu.translate(bdf, iova, direction)
-        cached = iommu.iotlb.peek(iommu.page_table_of(bdf).domain_id, vpn)
-        if cached is not None:
-            self._memo[(bdf, vpn)] = cached
-        return phys
 
 
 class RIommuBackend(TranslationBackend):

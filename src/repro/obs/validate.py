@@ -3,7 +3,7 @@
 Validates any observability artifact the repo emits — trace JSONL
 (``riommu-repro/trace/v1``), timeline JSONL
 (``riommu-repro/timeline/v1``), lite telemetry JSONL
-(``riommu-repro/telemetry/v1``), bench-history logs, metrics JSON
+(``riommu-repro/telemetry/v1``), metrics JSON
 (``riommu-repro/trace-metrics/v1``), serialized diff reports
 (``riommu-repro/diff-report/v1``) and ranked ablation reports
 (``riommu-repro/ablation-report/v1``) — dispatching on the declared
@@ -73,24 +73,6 @@ def _validate_json_payload(path: str, explicit: bool) -> List[str]:
     return [_SKIP]
 
 
-def _validate_history_records(records) -> List[str]:
-    """Validate a ``riommu-repro/bench-history/v1`` append-only log."""
-    errors: List[str] = []
-    for i, entry in enumerate(records, start=1):
-        schema = str(entry.get("schema", ""))
-        if not schema.startswith("riommu-repro/bench-history/"):
-            errors.append(f"line {i}: schema {schema!r} is not a bench-history entry")
-        if not isinstance(entry.get("cells"), dict) or not entry.get("cells"):
-            errors.append(f"line {i}: missing non-empty 'cells' map")
-            continue
-        for key, seconds in entry["cells"].items():
-            if key.count("/") != 2:
-                errors.append(f"line {i}: cell key {key!r} is not setup/bench/mode")
-            if not isinstance(seconds, (int, float)) or seconds <= 0:
-                errors.append(f"line {i}: cell {key!r} has bad seconds {seconds!r}")
-    return errors
-
-
 def _validate_jsonl_payload(path: str, explicit: bool) -> List[str]:
     """Validate a JSONL artifact, dispatching on its header record."""
     from repro.obs.timeline import validate_timeline_records
@@ -107,8 +89,6 @@ def _validate_jsonl_payload(path: str, explicit: bool) -> List[str]:
             from repro.obs.lite import validate_telemetry_records
 
             return validate_telemetry_records(records)
-        if str(records[0].get("schema", "")).startswith("riommu-repro/bench-history/"):
-            return _validate_history_records(records)
         if head != "trace_meta" and not explicit:
             # Directory scan: a headerless JSONL of some other
             # provenance is not ours to judge here.

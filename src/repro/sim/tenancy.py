@@ -91,6 +91,53 @@ _BYTES_PER_ITEM = {
 _BASELINE_STALL_CYCLES = IOTLB_MISS_CYCLES
 _RIOMMU_STALL_CYCLES = IOTLB_MISS_CYCLES / 2.0
 
+_NUMBER = (int, float)
+
+#: JSON field -> accepted types, for :meth:`TenantSpec.from_dict`.
+_TENANT_FIELDS: Dict[str, tuple] = {
+    "name": (str,),
+    "workload": (str,),
+    "domains": (int,),
+    "intensity": _NUMBER,
+    "slo_p99_us": _NUMBER + (type(None),),
+    "critical": (bool,),
+}
+
+#: JSON field -> accepted types, for :meth:`ScenarioSpec.from_dict`.
+_SCENARIO_FIELDS: Dict[str, tuple] = {
+    "tenants": (list,),
+    "name": (str,),
+    "iotlb_capacity": (int,),
+    "qi_beta": _NUMBER,
+    "base_packets": (int,),
+}
+
+
+def _check_fields(
+    what: str, data: object, types: Dict[str, tuple], required: str
+) -> Dict[str, object]:
+    """``data`` as constructor keywords, or a ValueError naming the bad field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+    unknown = sorted(set(data) - set(types))
+    if unknown:
+        raise ValueError(
+            f"{what} has unknown keys {unknown}; known: {', '.join(types)}"
+        )
+    if required not in data:
+        raise ValueError(f"{what} is missing {required!r}")
+    for key, value in data.items():
+        # bool is an int subclass: accept it only where a bool is asked for.
+        if not isinstance(value, types[key]) or (
+            isinstance(value, bool) and bool not in types[key]
+        ):
+            expected = "/".join(t.__name__ for t in types[key])
+            raise ValueError(
+                f"{what} field {key!r} must be {expected}, "
+                f"not {type(value).__name__}"
+            )
+    return dict(data)
+
 
 @dataclass(frozen=True)
 class TenantSpec:
@@ -139,9 +186,9 @@ class TenantSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TenantSpec":
-        """Inverse of :meth:`to_dict` (unknown keys rejected)."""
-        return cls(**data)
+    def from_dict(cls, data: object, what: str = "tenant") -> "TenantSpec":
+        """Inverse of :meth:`to_dict`; malformed input raises ValueError."""
+        return cls(**_check_fields(what, data, _TENANT_FIELDS, "name"))
 
 
 @dataclass(frozen=True)
@@ -228,13 +275,18 @@ class ScenarioSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ScenarioSpec":
-        """Inverse of :meth:`to_dict`."""
-        data = dict(data)
+    def from_dict(cls, data: object) -> "ScenarioSpec":
+        """Inverse of :meth:`to_dict`; malformed input raises ValueError.
+
+        The boundary for ``REPRO_TENANCY`` and ``repro tenants
+        --scenario FILE.json``: each error names the field at fault.
+        """
+        fields = _check_fields("scenario", data, _SCENARIO_FIELDS, "tenants")
         tenants = tuple(
-            TenantSpec.from_dict(t) for t in data.pop("tenants")
+            TenantSpec.from_dict(t, f"tenants[{i}]")
+            for i, t in enumerate(fields.pop("tenants"))
         )
-        return cls(tenants=tenants, **data)
+        return cls(tenants=tenants, **fields)
 
 
 #: The named scenario presets ``--scenario`` accepts.

@@ -159,23 +159,6 @@ def test_valid_diff_report_passes(tmp_path, capsys):
     assert main([str(path)]) == 1
 
 
-def test_valid_bench_history_passes(tmp_path, capsys):
-    path = tmp_path / "BENCH_history.jsonl"
-    entry = {
-        "schema": "riommu-repro/bench-history/v1",
-        "timestamp": "2026-08-07T00:00:00",
-        "cells": {"mlx/stream/strict": 0.07},
-    }
-    path.write_text(json.dumps(entry) + "\n")
-    assert main([str(path)]) == 0
-
-    entry["cells"] = {"not-a-cell-key": -1.0}
-    path.write_text(json.dumps(entry) + "\n")
-    assert main([str(path)]) == 1
-    out = capsys.readouterr().out
-    assert "setup/bench/mode" in out and "bad seconds" in out
-
-
 def test_directory_scan_validates_mixed_artifacts(
     trace_path, timeline_path, tmp_path, capsys
 ):

@@ -66,6 +66,40 @@ def test_spec_validation_rejects_bad_tenants():
         ScenarioSpec(tenants=(TenantSpec(name="a", domains=40),))
 
 
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        ("[]", "scenario must be a JSON object"),
+        ("{}", "scenario is missing 'tenants'"),
+        ('{"tenants": 3}', "field 'tenants' must be list"),
+        ('{"tenants": [5]}', "tenants[0] must be a JSON object"),
+        ('{"tenants": [{"name": "a", "x": 1}]}', "tenants[0] has unknown keys ['x']"),
+        ('{"tenants": [{"workload": "rr"}]}', "tenants[0] is missing 'name'"),
+        ('{"tenants": [{"name": "a", "domains": "2"}]}', "'domains' must be int"),
+        ('{"tenants": [{"name": "a", "domains": true}]}', "'domains' must be int"),
+        ('{"tenants": [], "qi_bta": 0.1}', "scenario has unknown keys ['qi_bta']"),
+        ("{not json", "Expecting property name"),
+    ],
+)
+def test_malformed_scenario_json_raises_value_error(raw, field):
+    """Bad ``REPRO_TENANCY`` JSON is a ValueError naming the env var and field."""
+    with pytest.raises(ValueError) as excinfo:
+        RunConfig.from_env({"REPRO_TENANCY": raw})
+    message = str(excinfo.value)
+    assert message.startswith("REPRO_TENANCY: ")
+    assert field in message
+
+
+def test_cli_rejects_malformed_scenario_file(tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"tenants": [{"name": "a", "bogus": 1}]}))
+    assert main(["tenants", "--fast", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"--scenario {path}: tenants[0] has unknown keys ['bogus']" in err
+
+
 def test_contention_model_is_zero_sum_and_monotone():
     lo = preset_scenario("aggressor", aggressor_intensity=1.0)
     hi = preset_scenario("aggressor", aggressor_intensity=8.0)
