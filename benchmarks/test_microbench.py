@@ -8,7 +8,7 @@ performance regressions of the library.
 
 import pytest
 
-from repro.dma import DmaDirection
+from repro.dma import DmaDirection, MapRequest, UnmapRequest
 from repro.kernel import Machine
 from repro.modes import Mode
 
@@ -25,9 +25,13 @@ def test_map_unmap_pair_rate(benchmark, mode):
     ring = api.create_ring(64)
     phys = machine.mem.alloc_dma_buffer(4096)
 
+    map_req = MapRequest(
+        phys_addr=phys, size=1500, direction=DmaDirection.FROM_DEVICE, ring=ring
+    )
+
     def pair():
-        handle = api.map(phys, 1500, DmaDirection.FROM_DEVICE, ring=ring)
-        api.unmap(handle, end_of_burst=True)
+        handle = api.map_request(map_req).device_addr
+        api.unmap_request(UnmapRequest(device_addr=handle, end_of_burst=True))
 
     benchmark(pair)
     assert api.driver.live_mappings() == 0 if mode is not Mode.NONE else True
@@ -40,7 +44,11 @@ def test_translated_dma_write_rate(benchmark, mode):
     api = machine.dma_api(BDF)
     ring = api.create_ring(8)
     phys = machine.mem.alloc_dma_buffer(4096)
-    handle = api.map(phys, 4096, DmaDirection.BIDIRECTIONAL, ring=ring)
+    handle = api.map_request(
+        MapRequest(
+            phys_addr=phys, size=4096, direction=DmaDirection.BIDIRECTIONAL, ring=ring
+        )
+    ).device_addr
     payload = b"\x5a" * 1500
 
     benchmark(machine.bus.dma_write, BDF, handle, payload)

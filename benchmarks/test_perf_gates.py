@@ -27,7 +27,6 @@ import time
 
 import pytest
 
-from repro import datapath
 from repro.config import RunConfig
 from repro.modes import Mode
 from repro.sim.runner import run_figure12, run_with_config
@@ -67,19 +66,14 @@ def runner(cell, **overrides):
 
 
 @pytest.mark.perf
-def test_columnar_beats_scalar(monkeypatch):
+def test_columnar_beats_scalar():
     """Columnar >= 1.3x scalar on every stream cell, fast sizes, best of 3."""
-    previous = datapath.current_build()
-    # set_datapath exports REPRO_DATAPATH; monkeypatch restores it.
-    monkeypatch.setenv(datapath.ENV_VAR, previous)
     seconds = {}
-    try:
-        for build in ("scalar", "columnar"):
-            datapath.set_datapath(build)
-            for cell in STREAM_CELLS:
-                seconds[build, cell] = best_of(runner(cell, fast=True), 3)
-    finally:
-        datapath.set_datapath(previous)
+    for build in ("scalar", "columnar"):
+        for cell in STREAM_CELLS:
+            seconds[build, cell] = best_of(
+                runner(cell, fast=True, datapath=build), 3
+            )
     slow = []
     for cell in STREAM_CELLS:
         ratio = seconds["scalar", cell] / seconds["columnar", cell]

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dma import DmaDirection, MapRequest, UnmapRequest
 from repro.analysis.report import format_table
+from repro.config import RunConfig
 from repro.devices.nic import SimulatedNic
 from repro.kernel.machine import Machine
 from repro.kernel.net_driver import NetDriver
@@ -41,7 +42,8 @@ from repro.sim.setups import MLX_SETUP
 # so they fan out through repro.sim.parallel.parallel_map.  The point
 # workers are module-level functions taking plain-data tuples so they
 # pickle into worker processes; point order (and thus rendered output)
-# is preserved regardless of worker count.
+# is preserved regardless of worker count.  Each tuple ends with the
+# datapath build the sweep resolved at its entry.
 
 
 # -- 1. burst-length sweep ------------------------------------------------
@@ -72,10 +74,10 @@ class BurstSweepResult:
         raise KeyError(burst)
 
 
-def _burst_point(args: Tuple[int, int, int]) -> Tuple[int, float, float]:
-    """One burst-length sweep point: (burst, packets, warmup) -> row."""
-    burst, packets, warmup = args
-    machine = build_machine(MLX_SETUP, Mode.RIOMMU)
+def _burst_point(args: Tuple[int, int, int, str]) -> Tuple[int, float, float]:
+    """One burst-length sweep point: (burst, packets, warmup, build) -> row."""
+    burst, packets, warmup, build = args
+    machine = build_machine(MLX_SETUP, Mode.RIOMMU, datapath=build)
     nic = SimulatedNic(machine.bus, NIC_BDF, MLX_SETUP.nic_profile)
     driver = NetDriver(machine, nic, coalesce_threshold=burst)
     driver.fill_rx()
@@ -113,8 +115,11 @@ def sweep_burst_length(
     jobs: Optional[int] = None,
 ) -> BurstSweepResult:
     """Run mlx/stream under riommu with varying coalescing thresholds."""
+    build = RunConfig.from_env().datapath
     points = parallel_map(
-        _burst_point, [(b, packets, warmup) for b in bursts], resolve_jobs(jobs)
+        _burst_point,
+        [(b, packets, warmup, build) for b in bursts],
+        resolve_jobs(jobs),
     )
     return BurstSweepResult(points=points)
 
@@ -141,10 +146,10 @@ class DeferThresholdResult:
         )
 
 
-def _defer_point(args: Tuple[int, int, int]) -> Tuple[int, float, float]:
-    """One defer-threshold sweep point: (threshold, packets, warmup) -> row."""
-    threshold, packets, warmup = args
-    machine = Machine(Mode.DEFER, flush_threshold=threshold)
+def _defer_point(args: Tuple[int, int, int, str]) -> Tuple[int, float, float]:
+    """One defer-threshold sweep point: (threshold, packets, warmup, build) -> row."""
+    threshold, packets, warmup, build = args
+    machine = Machine(Mode.DEFER, flush_threshold=threshold, datapath=build)
     nic = SimulatedNic(machine.bus, NIC_BDF, MLX_SETUP.nic_profile)
     driver = NetDriver(machine, nic, coalesce_threshold=MLX_SETUP.stream_burst)
     driver.fill_rx()
@@ -186,8 +191,11 @@ def sweep_defer_threshold(
     functional output is how often the window closes — we also fold the
     MICRO-policy global-flush cost in to show the cost trend.
     """
+    build = RunConfig.from_env().datapath
     points = parallel_map(
-        _defer_point, [(t, packets, warmup) for t in thresholds], resolve_jobs(jobs)
+        _defer_point,
+        [(t, packets, warmup, build) for t in thresholds],
+        resolve_jobs(jobs),
     )
     return DeferThresholdResult(points=points)
 
@@ -216,10 +224,10 @@ class PrefetchAblationResult:
         )
 
 
-def _prefetch_point(args: Tuple[bool, int]) -> Tuple[float, int, int]:
-    """One prefetch ablation arm: (enabled, packets) -> stats triple."""
-    enabled, packets = args
-    machine = Machine(Mode.RIOMMU)
+def _prefetch_point(args: Tuple[bool, int, str]) -> Tuple[float, int, int]:
+    """One prefetch ablation arm: (enabled, packets, build) -> stats triple."""
+    enabled, packets, build = args
+    machine = Machine(Mode.RIOMMU, datapath=build)
     assert machine.riommu is not None
     machine.riommu.prefetch_enabled = enabled
     nic = SimulatedNic(machine.bus, NIC_BDF, MLX_SETUP.nic_profile)
@@ -245,8 +253,11 @@ def ablate_prefetch(
     packets: int = 300, jobs: Optional[int] = None
 ) -> PrefetchAblationResult:
     """Run the same traffic with rprefetch enabled and disabled."""
+    build = RunConfig.from_env().datapath
     arms = parallel_map(
-        _prefetch_point, [(True, packets), (False, packets)], resolve_jobs(jobs)
+        _prefetch_point,
+        [(True, packets, build), (False, packets, build)],
+        resolve_jobs(jobs),
     )
     fractions: Dict[bool, Tuple[float, int, int]] = {True: arms[0], False: arms[1]}
     return PrefetchAblationResult(
@@ -278,17 +289,17 @@ class PathologySensitivityResult:
         )
 
 
-def _pathology_point(args: Tuple[float, int]) -> Tuple[float, float]:
-    """One pathology sweep point: (scale, requests) -> strict throughput."""
-    scale, requests = args
+def _pathology_point(args: Tuple[float, int, str]) -> Tuple[float, float]:
+    """One pathology sweep point: (scale, requests, build) -> strict throughput."""
+    scale, requests, build = args
     base_alloc = TABLE1_CYCLES[Mode.STRICT][Component.IOVA_ALLOC]
     scaled = MemcachedBench(
         requests=requests,
         warmup=20,
         machine_kwargs={"cost_overrides": {Component.IOVA_ALLOC: base_alloc * scale}},
     )
-    strict = run_events(scaled, MLX_SETUP, Mode.STRICT).throughput_metric
-    return (scale, strict)
+    strict = run_events(scaled, MLX_SETUP, Mode.STRICT, datapath=build)
+    return (scale, strict.throughput_metric)
 
 
 def sweep_alloc_pathology(
@@ -304,10 +315,11 @@ def sweep_alloc_pathology(
     Netperf — consistent with its linear-in-live-IOVAs behaviour under
     32-way-concurrent request traffic.
     """
+    build = RunConfig.from_env().datapath
     bench = MemcachedBench(requests=requests, warmup=20)
-    riommu = run_events(bench, MLX_SETUP, Mode.RIOMMU).throughput_metric
+    riommu = run_events(bench, MLX_SETUP, Mode.RIOMMU, datapath=build).throughput_metric
     strict_points = parallel_map(
-        _pathology_point, [(s, requests) for s in scales], resolve_jobs(jobs)
+        _pathology_point, [(s, requests, build) for s in scales], resolve_jobs(jobs)
     )
     points = [(scale, riommu / strict) for scale, strict in strict_points]
     return PathologySensitivityResult(points=points)
@@ -338,12 +350,12 @@ class RingSizingResult:
         )
 
 
-def _ring_point(args: Tuple[int, int, int, int]) -> Tuple[int, float]:
-    """One ring-sizing point: (entries, live_window, burst, packets) -> row."""
+def _ring_point(args: Tuple[int, int, int, int, str]) -> Tuple[int, float]:
+    """One ring-sizing point: (entries, live_window, burst, packets, build) -> row."""
     from repro.core.driver import RingOverflowError
 
-    entries, live_window, burst, packets = args
-    machine = Machine(Mode.RIOMMU)
+    entries, live_window, burst, packets, build = args
+    machine = Machine(Mode.RIOMMU, datapath=build)
     api = machine.dma_api(0x0300)
     ring = api.create_ring(entries)
     phys = machine.mem.alloc_dma_buffer(4096)
@@ -398,9 +410,10 @@ def sweep_ring_sizing(
     (RingOverflowError) until completions free entries — exactly the
     "driver should slow down" behaviour the paper describes.
     """
+    build = RunConfig.from_env().datapath
     points = parallel_map(
         _ring_point,
-        [(entries, live_window, burst, packets) for entries in ring_sizes],
+        [(entries, live_window, burst, packets, build) for entries in ring_sizes],
         resolve_jobs(jobs),
     )
     return RingSizingResult(live_window=live_window, burst=burst, points=points)
@@ -429,12 +442,12 @@ class IotlbCapacityResult:
         )
 
 
-def _iotlb_point(args: Tuple[int, int, int]) -> Tuple[int, float, float]:
-    """One IOTLB-capacity point: (capacity, pool_size, sends) -> row."""
+def _iotlb_point(args: Tuple[int, int, int, str]) -> Tuple[int, float, float]:
+    """One IOTLB-capacity point: (capacity, pool_size, sends, build) -> row."""
     from repro.analysis.miss_penalty import DRAM_REF_CYCLES, _run_experiment
 
-    capacity, pool_size, sends = args
-    hit_rate, walk_levels = _run_experiment(pool_size, sends, capacity, seed=21)
+    capacity, pool_size, sends, build = args
+    hit_rate, walk_levels = _run_experiment(pool_size, sends, capacity, 21, build)
     return (capacity, hit_rate, walk_levels * DRAM_REF_CYCLES)
 
 
@@ -445,9 +458,10 @@ def sweep_iotlb_capacity(
     jobs: Optional[int] = None,
 ) -> IotlbCapacityResult:
     """Re-run the random-pool experiment across IOTLB sizes."""
+    build = RunConfig.from_env().datapath
     points = parallel_map(
         _iotlb_point,
-        [(capacity, pool_size, sends) for capacity in capacities],
+        [(capacity, pool_size, sends, build) for capacity in capacities],
         resolve_jobs(jobs),
     )
     return IotlbCapacityResult(pool_size=pool_size, points=points)

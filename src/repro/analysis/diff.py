@@ -80,6 +80,7 @@ def _load_artifact(path: str) -> Tuple[str, object]:
 
 def _run_live(spec: str, fast: bool) -> List[Dict[str, object]]:
     """Run one cell with the tracer recording; return its JSONL records."""
+    from repro.config import RunConfig
     from repro.obs.export import jsonl_records
     from repro.obs.tracer import TRACE
     from repro.sim.parallel import run_cell
@@ -90,7 +91,8 @@ def _run_live(spec: str, fast: bool) -> List[Dict[str, object]]:
         raise ValueError("cannot run a live diff while the tracer is recording")
     TRACE.enable()
     try:
-        run_cell((setup_name, benchmark, mode_label, fast))
+        config = RunConfig.from_env(fast=fast)
+        run_cell((setup_name, benchmark, mode_label, config))
     finally:
         TRACE.disable()
     records = [dict(record) for record in jsonl_records(TRACE)]

@@ -13,6 +13,7 @@ from typing import Dict, List
 
 from repro.analysis.ascii_plot import stacked_bar_chart
 from repro.analysis.report import format_table
+from repro.config import RunConfig
 from repro.modes import ALL_MODES, Mode
 from repro.perf.calibration import C_NONE_MLX
 from repro.perf.cycles import Component
@@ -82,10 +83,11 @@ class Figure7Result:
 
 def run_figure7(packets: int = 600, warmup: int = 150) -> Figure7Result:
     """Run the seven-mode sweep and group per-packet cycles."""
+    build = RunConfig.from_env().datapath
     workload = NetperfStream(packets=packets, warmup=warmup)
     stacks: Dict[Mode, Dict[str, float]] = {}
     for mode in ALL_MODES:
-        result = run_events(workload, MLX_SETUP, mode)
+        result = run_events(workload, MLX_SETUP, mode, datapath=build)
         groups: Dict[str, float] = {}
         for group_name, components in STACK_GROUPS:
             groups[group_name] = sum(

@@ -18,6 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.ascii_plot import xy_plot
 from repro.analysis.report import format_table
+from repro.config import RunConfig
 from repro.modes import ALL_MODES, Mode
 from repro.perf.cycles import Component
 from repro.perf.model import gbps_from_cycles, throughput_with_line_rate
@@ -78,12 +79,14 @@ class Figure8Result:
         return f"{table}\n\n{chart}"
 
 
-def _run_busywait_point(busy_cycles: float, packets: int, warmup: int) -> Tuple[float, float]:
+def _run_busywait_point(
+    busy_cycles: float, packets: int, warmup: int, build: str
+) -> Tuple[float, float]:
     """Measure the none-mode sim with an extra per-packet busy-wait."""
     from repro.devices.nic import SimulatedNic
     from repro.kernel.net_driver import NetDriver
 
-    machine = build_machine(MLX_SETUP, Mode.NONE)
+    machine = build_machine(MLX_SETUP, Mode.NONE, datapath=build)
     nic = SimulatedNic(machine.bus, NIC_BDF, MLX_SETUP.nic_profile)
     driver = NetDriver(machine, nic, coalesce_threshold=MLX_SETUP.stream_burst)
     driver.fill_rx()
@@ -123,6 +126,7 @@ def run_figure8(
     warmup: int = 60,
 ) -> Figure8Result:
     """Produce all three Figure 8 series."""
+    build = RunConfig.from_env().datapath
     clock = MLX_SETUP.clock_hz
     line_rate = MLX_SETUP.nic_profile.line_rate_gbps
     c_lo, c_hi = 800.0, 20000.0
@@ -132,13 +136,13 @@ def run_figure8(
         curve.append((cycles, min(gbps_from_cycles(cycles, clock), line_rate)))
 
     busywait = [
-        _run_busywait_point(extra, packets, warmup) for extra in busywait_sweep
+        _run_busywait_point(extra, packets, warmup, build) for extra in busywait_sweep
     ]
 
     workload = NetperfStream(packets=packets, warmup=warmup)
     mode_points: Dict[Mode, Tuple[float, float]] = {}
     for mode in ALL_MODES:
-        result = run_events(workload, MLX_SETUP, mode)
+        result = run_events(workload, MLX_SETUP, mode, datapath=build)
         mode_points[mode] = (result.cycles_per_packet, result.gbps or 0.0)
 
     return Figure8Result(

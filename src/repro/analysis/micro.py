@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.analysis.report import format_table
+from repro.config import RunConfig
 from repro.modes import ALL_MODES, Mode
 from repro.perf.costs import CostPolicy
 from repro.sim.netperf import NetperfStream
@@ -84,11 +85,15 @@ class MicroValidationResult:
 
 def run_micro_validation(packets: int = 300, warmup: int = 60) -> MicroValidationResult:
     """Run mlx stream under both policies for all seven modes."""
+    build = RunConfig.from_env().datapath
     calibrated: Dict[Mode, RunResult] = {}
     micro: Dict[Mode, RunResult] = {}
     for mode in ALL_MODES:
         calibrated[mode] = run_events(
-            NetperfStream(packets=packets, warmup=warmup), MLX_SETUP, mode
+            NetperfStream(packets=packets, warmup=warmup),
+            MLX_SETUP,
+            mode,
+            datapath=build,
         )
         micro[mode] = run_events(
             NetperfStream(
@@ -98,5 +103,6 @@ def run_micro_validation(packets: int = 300, warmup: int = 60) -> MicroValidatio
             ),
             MLX_SETUP,
             mode,
+            datapath=build,
         )
     return MicroValidationResult(calibrated=calibrated, micro=micro)

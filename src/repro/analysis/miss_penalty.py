@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.analysis.report import format_table
+from repro.config import RunConfig
 from repro.devices.dma import DmaBus, IommuBackend
 from repro.dma import DmaDirection, MapRequest
 from repro.iommu.driver import BaselineIommuDriver
@@ -77,9 +78,11 @@ class MissPenaltyResult:
         )
 
 
-def _run_experiment(pool_size: int, sends: int, iotlb_entries: int, seed: int):
+def _run_experiment(
+    pool_size: int, sends: int, iotlb_entries: int, seed: int, build: str
+):
     """Map ``pool_size`` buffers once, then DMA-read them at random."""
-    mem = MemorySystem()
+    mem = MemorySystem(columnar=build == "columnar")
     iommu = Iommu(mem, iotlb_capacity=iotlb_entries)
     iommu.coherency.coherent = True  # §5.3 does no unmaps; coherency moot
     driver = BaselineIommuDriver(mem, iommu, bdf=0x0300, mode=Mode.STRICT_PLUS)
@@ -113,8 +116,11 @@ def run_miss_penalty(
     seed: int = 42,
 ) -> MissPenaltyResult:
     """Run both §5.3 experiments and derive the miss penalty."""
-    pool_hit, pool_levels = _run_experiment(pool_size, sends, iotlb_entries, seed)
-    single_hit, single_levels = _run_experiment(1, sends, iotlb_entries, seed)
+    build = RunConfig.from_env().datapath
+    pool_hit, pool_levels = _run_experiment(
+        pool_size, sends, iotlb_entries, seed, build
+    )
+    single_hit, single_levels = _run_experiment(1, sends, iotlb_entries, seed, build)
     return MissPenaltyResult(
         pool_size=pool_size,
         iotlb_entries=iotlb_entries,

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.analysis.report import format_table
+from repro.config import RunConfig
 from repro.devices.dma import DmaBus, HwptBackend, SwptBackend
 from repro.devices.nic import SimulatedNic
 from repro.iommu.iotlb import Iotlb
@@ -63,8 +64,10 @@ class PassthroughResult:
         )
 
 
-def _stream_gbps(backend_name: str, packets: int, warmup: int, iotlb: Iotlb) -> float:
-    machine = Machine(Mode.NONE)
+def _stream_gbps(
+    backend_name: str, packets: int, warmup: int, iotlb: Iotlb, build: str
+) -> float:
+    machine = Machine(Mode.NONE, datapath=build)
     if backend_name == "SWpt":
         machine.bus = DmaBus(machine.mem, SwptBackend(iotlb))
     elif backend_name == "HWpt":
@@ -93,9 +96,10 @@ def _stream_gbps(backend_name: str, packets: int, warmup: int, iotlb: Iotlb) -> 
 
 def run_passthrough(packets: int = 300, warmup: int = 60) -> PassthroughResult:
     """Run stream + RR under none / HWpt / SWpt."""
+    build = RunConfig.from_env().datapath
     swpt_iotlb = Iotlb(capacity=64)
     stream = {
-        name: _stream_gbps(name, packets, warmup, swpt_iotlb)
+        name: _stream_gbps(name, packets, warmup, swpt_iotlb, build)
         for name in ("none", "HWpt", "SWpt")
     }
     miss_rate = 1.0 - swpt_iotlb.stats.hit_rate

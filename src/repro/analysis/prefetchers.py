@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.analysis.report import format_table
+from repro.config import RunConfig
 from repro.prefetch.eval import (
     PrefetcherOutcome,
     RIotlbMeasurement,
@@ -74,9 +75,10 @@ def run_prefetcher_study(
     history_capacities: Sequence[int] = (64, 256, 1024, 4096),
 ) -> PrefetcherStudyResult:
     """Record a trace from the functional NIC sim and run the sweep."""
-    trace: DmaTrace = record_netperf_trace(packets=packets)
+    build = RunConfig.from_env().datapath
+    trace: DmaTrace = record_netperf_trace(packets=packets, datapath=build)
     outcomes = evaluate_matrix(trace, history_capacities)
-    riotlb = measure_riotlb(packets=packets)
+    riotlb = measure_riotlb(packets=packets, datapath=build)
     return PrefetcherStudyResult(
         ring_entries=ring_entries, outcomes=outcomes, riotlb=riotlb
     )

@@ -24,6 +24,7 @@ from typing import Dict, List
 from repro.analysis.report import format_table
 from repro.dma import DmaDirection, MapRequest, UnmapRequest
 from repro.faults import IoPageFault
+from repro.config import RunConfig
 from repro.kernel.machine import Machine
 from repro.modes import Mode
 from repro.sim.netperf import NIC_BDF
@@ -66,9 +67,9 @@ class SafetyResult:
         )
 
 
-def _probe_mode(mode: Mode, packets: int, flush_threshold: int) -> tuple:
+def _probe_mode(mode: Mode, packets: int, flush_threshold: int, build: str) -> tuple:
     """Run tx traffic; after each unmap burst, probe the freed buffers."""
-    machine = Machine(mode, flush_threshold=flush_threshold)
+    machine = Machine(mode, flush_threshold=flush_threshold, datapath=build)
     api = machine.dma_api(NIC_BDF)
     ring = api.create_ring(64)
 
@@ -124,11 +125,14 @@ def _probe_mode(mode: Mode, packets: int, flush_threshold: int) -> tuple:
 
 def run_safety(packets: int = 200, flush_threshold: int = 64) -> SafetyResult:
     """Probe stale-access exposure under the four interesting modes."""
+    build = RunConfig.from_env().datapath
     exposed: Dict[str, float] = {}
     windows: Dict[str, float] = {}
     probes = 0
     for mode in (Mode.STRICT, Mode.DEFER, Mode.RIOMMU_NC, Mode.RIOMMU):
-        fraction, mean_window, probes = _probe_mode(mode, packets, flush_threshold)
+        fraction, mean_window, probes = _probe_mode(
+            mode, packets, flush_threshold, build
+        )
         exposed[mode.label] = fraction
         windows[mode.label] = mean_window
     return SafetyResult(

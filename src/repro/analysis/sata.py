@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.analysis.report import format_table
+from repro.config import RunConfig
 from repro.devices.ahci import AhciCommand, AhciController, AhciOp, SECTOR_BYTES
 from repro.devices.dma import DmaBus, IdentityBackend, IommuBackend
 from repro.dma import DmaDirection, MapRequest, UnmapRequest
@@ -67,8 +68,8 @@ class SataResult:
         )
 
 
-def _run_mode(protected: bool, requests: int) -> tuple:
-    mem = MemorySystem()
+def _run_mode(protected: bool, requests: int, build: str) -> tuple:
+    mem = MemorySystem(columnar=build == "columnar")
     if protected:
         iommu = Iommu(mem)
         iommu.coherency.enforce = True
@@ -138,8 +139,9 @@ def _run_mode(protected: bool, requests: int) -> tuple:
 
 def run_sata(requests: int = 40) -> SataResult:
     """Run sequential I/O under strict and none; compare elapsed time."""
-    strict_us, out_of_order = _run_mode(protected=True, requests=requests)
-    none_us, _ = _run_mode(protected=False, requests=requests)
+    build = RunConfig.from_env().datapath
+    strict_us, out_of_order = _run_mode(True, requests, build)
+    none_us, _ = _run_mode(False, requests, build)
     return SataResult(
         requests=requests,
         strict_us_per_request=strict_us,

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.config import RunConfig
 from repro.modes import BASELINE_MODES, Mode
 from repro.perf.costs import TABLE1_CYCLES
 from repro.perf.cycles import Component, MAP_COMPONENTS, UNMAP_COMPONENTS
@@ -72,10 +73,11 @@ class Table1Result:
 
 def run_table1(packets: int = 600, warmup: int = 150) -> Table1Result:
     """Run Netperf stream on mlx under the four baseline modes."""
+    build = RunConfig.from_env().datapath
     workload = NetperfStream(packets=packets, warmup=warmup)
     averages: Dict[Mode, Dict[Component, float]] = {}
     for mode in BASELINE_MODES:
-        result: RunResult = run_events(workload, MLX_SETUP, mode)
+        result: RunResult = run_events(workload, MLX_SETUP, mode, datapath=build)
         # Per-*invocation* averages need the event counts; re-derive from
         # the run's breakdown and counted events per packet: each packet
         # on mlx is 2 maps + 2 unmaps, so invocations = 2 * packets.

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.analysis.report import format_table
+from repro.config import RunConfig
 from repro.modes import ALL_MODES, Mode
 from repro.perf.calibration import TABLE3_RTT_US
 from repro.sim.netperf import NetperfRR
@@ -43,12 +44,13 @@ class Table3Result:
 
 def run_table3(transactions: int = 200, warmup: int = 40) -> Table3Result:
     """Run the RR workload for every setup/mode."""
+    build = RunConfig.from_env().datapath
     workload = NetperfRR(transactions=transactions, warmup=warmup)
     rtts: Dict[str, Dict[Mode, float]] = {}
     for setup in ALL_SETUPS:
         rtts[setup.name] = {}
         for mode in ALL_MODES:
-            result = run_events(workload, setup, mode)
+            result = run_events(workload, setup, mode, datapath=build)
             assert result.rtt_us is not None
             rtts[setup.name][mode] = result.rtt_us
     return Table3Result(rtt_us=rtts)

@@ -145,10 +145,8 @@ from repro.sim.scheduler import (
     EventScheduler,
     EventSim,
     load_checkpoint,
-    resolve_shards,
     run_events,
     save_checkpoint,
-    set_shards,
 )
 from repro.sim.setups import ALL_SETUPS, BRCM_SETUP, MLX_SETUP, Setup, setup_by_name
 
@@ -197,10 +195,8 @@ __all__ = [
     "EventSim",
     "MultiRingStream",
     "load_checkpoint",
-    "resolve_shards",
     "run_events",
     "save_checkpoint",
-    "set_shards",
     # observability bus
     "EVENT_TYPES",
     "MetricsRegistry",

@@ -8,11 +8,18 @@ reproduction, ``list`` shows what is available.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Dict, Optional, Sequence
 
-from repro.config import BUILDS
+from repro.config import (
+    BUILDS,
+    DATAPATH_ENV,
+    OBSERVE_ENV,
+    SHARDS_ENV,
+    normalize_shards,
+)
 
 EXPERIMENTS: Dict[str, str] = {
     "table1": "E1: map/unmap cycle breakdown (paper Table 1)",
@@ -121,8 +128,6 @@ def _run_profiled(name: str, fast: bool, jobs: Optional[int], top: int) -> str:
 
 def _mode_path(path: str, label: str) -> str:
     """Insert a run-mode label before the path's extension."""
-    import os
-
     stem, ext = os.path.splitext(path)
     return f"{stem}.{label}{ext or '.jsonl'}"
 
@@ -279,34 +284,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = build_parser().parse_args(raw)
 
-    # The observe tier rides the environment (like every other knob's
-    # wire format) so analysis entry points and worker processes see it
-    # through RunConfig.from_env().  --watch/--telemetry only make
-    # sense with lite telemetry, so they imply it when --observe is
-    # not given explicitly.
+    # --datapath/--shards/--observe are exported once, here, before
+    # anything runs: every entry point resolves its RunConfig through
+    # RunConfig.from_env() and hands it down by argument.  --watch and
+    # --telemetry only make sense with lite telemetry, so they imply it
+    # when --observe is not given explicitly.
     observe = args.observe
     if observe is None and (args.watch is not None or args.telemetry):
         observe = "lite"
     if observe is not None:
-        import os
-
-        from repro.config import OBSERVE_ENV
-
         os.environ[OBSERVE_ENV] = observe
+    if args.datapath is not None:
+        os.environ[DATAPATH_ENV] = args.datapath
+    if args.shards is not None:
+        os.environ[SHARDS_ENV] = str(normalize_shards(args.shards))
     if args.watch is not None:
         from repro.obs.lite import LITE
 
         LITE.monitor_defaults = {"interval": args.watch}
-
-    if args.datapath is not None:
-        from repro import datapath
-
-        datapath.set_datapath(args.datapath)
-
-    if args.shards is not None:
-        from repro.sim import scheduler
-
-        scheduler.set_shards(args.shards)
 
     if args.experiment == "list":
         width = max(len(name) for name in EXPERIMENTS)

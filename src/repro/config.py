@@ -7,22 +7,21 @@ This module is the single source of truth for how a run is configured:
   window width, benchmark sizing (``fast``) and the multi-tenant
   scenario (:mod:`repro.sim.tenancy`).
 * :meth:`RunConfig.from_env` — the one environment reader.  Every
-  module that used to parse ``REPRO_*`` itself (datapath, scheduler,
-  profile, timeline, the perf harness) now funnels through the parsing
-  helpers defined here, so a knob's spelling and semantics live in
-  exactly one place.
-* :meth:`RunConfig.to_env` / :meth:`RunConfig.apply` — the one export
-  path: grid worker processes reconstruct an identical config from the
-  environment (``from_env(to_env()) == config``, pinned by test).
+  ``REPRO_*`` variable is parsed by the helpers defined here, so a
+  knob's spelling and semantics live in exactly one place.
 
-The runner facade (:func:`repro.sim.runner.run_benchmark` and friends)
-takes its knobs only as ``config=RunConfig(...)``.
+Knobs travel by argument, never by process state: the runner facade
+(:func:`repro.sim.runner.run_benchmark` and friends) takes them as
+``config=RunConfig(...)``, each :class:`~repro.kernel.machine.Machine`
+takes its datapath build at construction, and grid/shard worker
+processes receive the config (or the build) inside their task.  No
+library module writes ``os.environ``; only ``repro.cli.main`` exports
+its own flags, once, before it runs anything.
 
 This module sits below the rest of the package: it imports nothing
-from ``repro`` at module level (``apply`` and the tenancy parser use
-lazy imports), so ``repro.datapath``, ``repro.sim.scheduler`` and the
-observability modules can all re-export their historical constants
-from it without cycles.
+from ``repro`` at module level (the tenancy parser imports lazily), so
+``repro.sim.scheduler`` and the observability modules can re-export
+their historical constants from it without cycles.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 # -- canonical knob constants (single source of truth) ----------------------
 
@@ -43,10 +42,10 @@ DEFAULT_BUILD = "columnar"
 #: The one documented datapath selection knob.
 DATAPATH_ENV = "REPRO_DATAPATH"
 
-#: Intra-run shard count knob (exported to grid worker processes).
+#: Intra-run shard count knob.
 SHARDS_ENV = "REPRO_SHARDS"
 
-#: Per-run observation knob (exported to grid worker processes).
+#: Per-run observation knob.
 OBSERVE_ENV = "REPRO_OBSERVE"
 
 #: The recognised observation levels: nothing, the counters-first lite
@@ -57,7 +56,7 @@ OBSERVE_LEVELS: Tuple[str, ...] = ("off", "lite", "full")
 #: Timeline sampling window override, in modelled cycles.
 TIMELINE_WINDOW_ENV = "REPRO_TIMELINE_WINDOW"
 
-#: Multi-tenant scenario spec, JSON-serialised (exported to workers).
+#: Multi-tenant scenario spec, JSON-serialised.
 TENANCY_ENV = "REPRO_TENANCY"
 
 #: Every canonical environment variable, in presentation order.
@@ -94,17 +93,6 @@ def normalize_shards(shards: int) -> int:
     if shards <= 0:
         return os.cpu_count() or 1
     return int(shards)
-
-
-def resolve_shards(shards: Optional[int] = None) -> int:
-    """Normalise a shard-count request to a positive worker count.
-
-    ``None`` consults ``REPRO_SHARDS``; ``0`` (and negatives) mean "one
-    shard per available CPU"; anything else is taken literally.
-    """
-    if shards is None:
-        return shards_from_env(os.environ)
-    return normalize_shards(shards)
 
 
 def shards_from_env(env: Optional[Mapping[str, str]] = None) -> int:
@@ -199,14 +187,16 @@ def tenancy_from_env(env: Optional[Mapping[str, str]] = None):
 class RunConfig:
     """Every run-shaping knob as one frozen, keyword-only record.
 
-    ``fast`` shrinks benchmark sizes (it travels with the work item —
-    the grid's :data:`~repro.sim.parallel.GridCell` — not the
-    environment).  ``datapath``/``shards``/``observe``/
-    ``timeline_window`` are the four process knobs, each with its
-    ``REPRO_*`` environment spelling; ``tenancy`` carries an optional
-    :class:`~repro.sim.tenancy.ScenarioSpec` for the multi-tenant
-    benchmark.  All fields validate at construction, so a config built
-    from a bad environment fails loudly at ``from_env`` time.
+    ``fast`` shrinks benchmark sizes.  ``datapath`` is the build every
+    :class:`~repro.kernel.machine.Machine` of the run is constructed
+    with; ``shards``/``observe``/``timeline_window`` shape execution
+    and observation.  Those four also have a ``REPRO_*`` environment
+    spelling, read only by :meth:`from_env`.  ``tenancy`` carries an
+    optional :class:`~repro.sim.tenancy.ScenarioSpec` for the
+    multi-tenant benchmark.  The whole record rides inside each grid
+    worker's task (:data:`~repro.sim.parallel.GridCell`).  All fields
+    validate at construction, so a config built from a bad environment
+    fails loudly at ``from_env`` time.
     """
 
     fast: bool = False
@@ -245,77 +235,3 @@ class RunConfig:
             tenancy=tenancy_from_env(env),
         )
         return replace(config, **overrides) if overrides else config
-
-    # -- export ----------------------------------------------------------
-
-    def to_env(self) -> Dict[str, str]:
-        """The canonical environment variables this config corresponds to.
-
-        The worker export path: applying these to a child process's
-        environment makes its ``from_env()`` reconstruct this config
-        exactly (``fast`` excepted — benchmark sizing rides in the work
-        item, never the environment).  Optional fields that are unset
-        are simply absent.
-        """
-        out = {
-            DATAPATH_ENV: self.datapath,
-            SHARDS_ENV: str(self.shards),
-            OBSERVE_ENV: self.observe,
-        }
-        if self.timeline_window is not None:
-            out[TIMELINE_WINDOW_ENV] = repr(self.timeline_window)
-        if self.tenancy is not None:
-            out[TENANCY_ENV] = json.dumps(self.tenancy.to_dict(), sort_keys=True)
-        return out
-
-    def apply(self) -> "RunConfig":
-        """Make this config the ambient process configuration.
-
-        Switches the live datapath build (re-poking consumer-module
-        flags via :func:`repro.datapath.set_datapath`), exports every
-        canonical variable for worker processes, and removes the
-        optional variables this config leaves unset.  Returns ``self``
-        for chaining.
-        """
-        from repro import datapath
-
-        datapath.set_datapath(self.datapath)
-        os.environ.update(self.to_env())
-        if self.timeline_window is None:
-            os.environ.pop(TIMELINE_WINDOW_ENV, None)
-        if self.tenancy is None:
-            os.environ.pop(TENANCY_ENV, None)
-        return self
-
-    class _Exported:
-        """Context manager restoring the environment after an export."""
-
-        def __init__(self, config: "RunConfig") -> None:
-            self._config = config
-            self._saved: Dict[str, Optional[str]] = {}
-
-        def __enter__(self) -> "RunConfig":
-            exported = self._config.to_env()
-            for name in ENV_VARS:
-                self._saved[name] = os.environ.get(name)
-                if name in exported:
-                    os.environ[name] = exported[name]
-                else:
-                    os.environ.pop(name, None)
-            return self._config
-
-        def __exit__(self, *exc) -> None:
-            for name, previous in self._saved.items():
-                if previous is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = previous
-
-    def exported(self) -> "RunConfig._Exported":
-        """Export :meth:`to_env` for a ``with`` block, then restore.
-
-        What the grid runner wraps its worker fan-out in: every worker
-        process inherits exactly this config's environment, and the
-        parent's is put back afterwards.
-        """
-        return RunConfig._Exported(self)

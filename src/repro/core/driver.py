@@ -12,11 +12,9 @@ baseline driver, so Figure 7's stacked bars compare like with like.
 
 from __future__ import annotations
 
-import warnings
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import datapath as _datapath
 from repro.core.riotlb import RIommuHardware
 from repro.core.structures import (
     MAX_RENTRY,
@@ -84,7 +82,10 @@ class RIommuMapping(tuple):
 
 
 class RIommuDriver:
-    """Per-device rIOMMU driver managing one rDEVICE's flat tables."""
+    """Per-device rIOMMU driver managing one rDEVICE's flat tables.
+
+    The driver runs the datapath build of ``mem`` (``mem.columnar``).
+    """
 
     def __init__(
         self,
@@ -107,9 +108,12 @@ class RIommuDriver:
             if coherency is not None
             else CoherencyDomain(coherent=mode.coherent_walk)
         )
+        self.columnar = mem.columnar
         self.cost_model = cost_model if cost_model is not None else CostModel(mode)
         self.account = (
-            account if account is not None else CycleAccount(label="riommu-driver")
+            account
+            if account is not None
+            else CycleAccount(label="riommu-driver", columnar=self.columnar)
         )
 
         # The rIOMMU costs are primitive-composed constants under *both*
@@ -147,19 +151,6 @@ class RIommuDriver:
 
     # -- map (Figure 11, left) -------------------------------------------------
 
-    def map(
-        self, rid: int, phys_addr: int, size: int, direction: DmaDirection
-    ) -> RIova:
-        """Deprecated positional form of :meth:`map_request`."""
-        warnings.warn(
-            "RIommuDriver.map(rid, phys, size, dir) is deprecated; use "
-            "map_request(MapRequest(phys_addr=..., size=..., direction=..., "
-            "ring=rid))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._map(rid, phys_addr, size, direction)
-
     def map_request(self, req: MapRequest) -> MapResult:
         """Map ``[phys_addr, phys_addr + size)`` into ring ``req.ring``.
 
@@ -171,7 +162,7 @@ class RIommuDriver:
         phys_addr, size, direction, ring = req
         if ring is None:
             raise ValueError("rIOMMU mappings need a ring ID (create_ring first)")
-        if _datapath.COLUMNAR_ENABLED and not TRACE.active:
+        if self.columnar and not TRACE.active:
             return _map_result(self._map_fast(ring, phys_addr, size, direction), ring)
         iova = self._map(ring, phys_addr, size, direction)
         return _map_result(iova.packed(), ring)
@@ -282,16 +273,6 @@ class RIommuDriver:
 
     # -- unmap (Figure 11, right) --------------------------------------------------
 
-    def unmap(self, iova: RIova, end_of_burst: bool = False) -> int:
-        """Deprecated positional form of :meth:`unmap_request`."""
-        warnings.warn(
-            "RIommuDriver.unmap(iova, end_of_burst) is deprecated; use "
-            "unmap_request(UnmapRequest(device_addr=iova.packed()))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._unmap(iova, end_of_burst)
-
     def unmap_request(self, req: UnmapRequest) -> UnmapResult:
         """Invalidate the rPTE behind the packed rIOVA ``req.device_addr``.
 
@@ -366,7 +347,7 @@ class RIommuDriver:
         patches the rPTE bytes in place and stages each Table 1
         component once for the whole burst with an exact counted fold.
         """
-        if not (_datapath.COLUMNAR_ENABLED and not TRACE.active):
+        if not self.columnar or TRACE.active:
             last = len(device_addrs) - 1
             return [
                 self._unmap(

@@ -22,7 +22,6 @@ import abc
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro import datapath as _datapath
 from repro.core.riotlb import RIommuHardware
 from repro.core.structures import unpack_iova
 from repro.dma import DmaDirection
@@ -33,16 +32,6 @@ from repro.iommu.page_table import direction_allowed
 from repro.memory.address import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, page_offset
 from repro.memory.physical import MemorySystem
 from repro.obs.tracer import TRACE
-
-#: Per-burst translation memo in :meth:`IommuBackend.translate_sg`
-#: (identical model cycles, less Python overhead).  Governed by ``REPRO_DATAPATH`` (see
-#: :mod:`repro.datapath`); parity tests also toggle this at runtime.
-FASTPATH_ENABLED = _datapath.FASTPATH_ENABLED
-
-#: Scatter-gather bulk datapath (batched translation + bulk copies —
-#: identical model cycles and fault behaviour, fewer Python dispatches).
-#: Governed by ``REPRO_DATAPATH``; parity tests also toggle this.
-BATCH_ENABLED = _datapath.BATCH_ENABLED
 
 
 class TranslationBackend(abc.ABC):
@@ -90,7 +79,8 @@ class IommuBackend(TranslationBackend):
     moves, so it can never outlive an unmap or invalidation — the
     deferred-mode vulnerability window is exactly as wide as before.
     :meth:`translate_range` is the scalar reference: one
-    :meth:`Iommu.translate` per page, no memo.
+    :meth:`Iommu.translate` per page, no memo.  Only the columnar
+    build's :class:`DmaBus` calls :meth:`translate_sg`.
     """
 
     def __init__(self, iommu: Iommu) -> None:
@@ -128,11 +118,9 @@ class IommuBackend(TranslationBackend):
         and pages that resolve to adjacent frames are merged into one
         extent for the bulk copy layer.
         """
-        if not BATCH_ENABLED:
-            return self.translate_range(bdf, addr, size, direction)
         iommu = self.iommu
         memo = None
-        if FASTPATH_ENABLED and self.memo_enabled:
+        if self.memo_enabled:
             token = (iommu.epoch, iommu.iotlb.generation)
             if token != self._memo_token:
                 self._memo.clear()
@@ -211,16 +199,18 @@ class RIommuBackend(TranslationBackend):
     A single rPTE maps a contiguous physical region, so one access needs
     one translation — but the *last* byte is also translated so that the
     fine-grained bounds check covers the whole access, as the hardware's
-    length-aware transaction check would.
+    length-aware transaction check would.  ``columnar`` is the
+    machine's datapath build.
     """
 
-    def __init__(self, hardware: RIommuHardware) -> None:
+    def __init__(self, hardware: RIommuHardware, columnar: bool = True) -> None:
         self.hardware = hardware
+        self.columnar = columnar
 
     def translate_range(
         self, bdf: int, addr: int, size: int, direction: DmaDirection
     ) -> List[Tuple[int, int]]:
-        if _datapath.COLUMNAR_ENABLED:
+        if self.columnar:
             # Folded start+end translation: rtranslate_span serves a hit
             # and a prefetched ring advance itself, and runs the same
             # scalar pair as below for cold/sync-walk/fault/traced cases.
@@ -300,12 +290,19 @@ class DmaBusStats:
 
 
 class DmaBus:
-    """Routes device DMAs through a translation backend to memory."""
+    """Routes device DMAs through a translation backend to memory.
+
+    The bus takes its datapath build from ``mem``: the columnar build
+    moves each access as batched translation plus bulk copies
+    (identical model cycles and fault behaviour, fewer Python
+    dispatches); the scalar build translates and copies range by range.
+    """
 
     def __init__(self, mem: MemorySystem, backend: TranslationBackend) -> None:
         self.mem = mem
         self.backend = backend
         self.stats = DmaBusStats()
+        self.columnar = mem.columnar
 
     def enable_translation_memo(self) -> None:
         """Opt in to the backend's per-burst translation memo, if any.
@@ -326,7 +323,7 @@ class DmaBus:
             raise ValueError("size must be positive")
         if TRACE.active:
             TRACE.emit("dma_read", bdf=bdf, addr=addr, size=size)
-        if BATCH_ENABLED:
+        if self.columnar:
             data = self.mem.ram.read_bulk(
                 self.backend.translate_sg(bdf, addr, size, DmaDirection.TO_DEVICE)
             )
@@ -347,7 +344,7 @@ class DmaBus:
             raise ValueError("data must be non-empty")
         if TRACE.active:
             TRACE.emit("dma_write", bdf=bdf, addr=addr, size=len(data))
-        if BATCH_ENABLED:
+        if self.columnar:
             # Translate the whole access first (faults before any byte
             # lands, as the scalar path's eager translate_range does),
             # then copy every extent in one bulk call.
@@ -376,7 +373,7 @@ class DmaBus:
         per-segment stats, same fault points (segment ``i`` translates
         fully before segment ``i+1`` is touched) — in one call.
         """
-        if not BATCH_ENABLED:
+        if not self.columnar:
             return b"".join(self.dma_read(bdf, addr, size) for addr, size in segments)
         backend = self.backend
         ram = self.mem.ram
@@ -403,7 +400,7 @@ class DmaBus:
         translated in full before its bytes land, so a fault leaves
         exactly the earlier segments written — the scalar behaviour.
         """
-        if not BATCH_ENABLED:
+        if not self.columnar:
             for addr, chunk in parts:
                 self.dma_write(bdf, addr, chunk)
             return

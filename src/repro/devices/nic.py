@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro import datapath as _datapath
 from repro.devices.descriptor import _CODEC, DESCRIPTOR_BYTES, FLAG_DONE, FLAG_VALID
 from repro.devices.dma import DmaBus, DmaEngine
 from repro.devices.ring import Ring
@@ -84,10 +83,14 @@ CompletionCallback = Callable[[int, int], None]  # (descriptor index, byte count
 
 
 class SimulatedNic:
-    """Device-side NIC logic: consumes rings, moves bytes, reports completions."""
+    """Device-side NIC logic: consumes rings, moves bytes, reports completions.
+
+    The NIC runs the datapath build of its ``bus``.
+    """
 
     def __init__(self, bus: DmaBus, bdf: int, profile: NicProfile) -> None:
         self.bus = bus
+        self.columnar = bus.columnar
         self.bdf = bdf
         self.engine = DmaEngine(bus, bdf)
         self.profile = profile
@@ -128,7 +131,7 @@ class SimulatedNic:
         if ring.pending == 0:
             self.stats.rx_drops += 1
             return False
-        if _datapath.COLUMNAR_ENABLED:
+        if self.columnar:
             return self._deliver_frame_columnar(ring, payload)
         index = ring.head
         try:
@@ -232,7 +235,7 @@ class SimulatedNic:
         Returns the number of frames transmitted this call.
         """
         ring = self._require(self.tx_ring, "tx")
-        if _datapath.COLUMNAR_ENABLED:
+        if self.columnar:
             return self._process_tx_columnar(ring, max_frames)
         sent = 0
         while ring.pending > 0 and (max_frames is None or sent < max_frames):

@@ -7,8 +7,7 @@ result shape every mapping layer speaks —
 ``map_request``/``unmap_request`` on the kernel DMA API
 (:mod:`repro.kernel.dma_api`), the baseline IOMMU driver
 (:mod:`repro.iommu.driver`) and the rIOMMU driver
-(:mod:`repro.core.driver`).  The older positional ``map``/``unmap``
-signatures survive as ``DeprecationWarning`` shims around these.
+(:mod:`repro.core.driver`).  It is the only mapping protocol.
 """
 
 from __future__ import annotations

@@ -14,11 +14,9 @@ under the matching Table 1 component.
 
 from __future__ import annotations
 
-import warnings
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro import datapath as _datapath
 from repro.dma import (
     DmaDirection,
     MapRequest,
@@ -44,7 +42,6 @@ from repro.modes import Mode
 from repro.obs.tracer import TRACE
 from repro.perf.costs import CostModel, CostPolicy
 from repro.perf.cycles import Component, CycleAccount
-import repro.perf.cycles as perf_cycles
 
 #: default IOVA space limit: the 32-bit DMA boundary, in pages.
 DMA_32BIT_PFN = (1 << 32) >> 12
@@ -76,7 +73,10 @@ class LiveMapping(tuple):
 
 
 class BaselineIommuDriver:
-    """Per-device IOMMU driver for strict/strict+/defer/defer+ modes."""
+    """Per-device IOMMU driver for strict/strict+/defer/defer+ modes.
+
+    The driver runs the datapath build of ``mem`` (``mem.columnar``).
+    """
 
     def __init__(
         self,
@@ -95,9 +95,12 @@ class BaselineIommuDriver:
         self.iommu = iommu
         self.bdf = bdf
         self.mode = mode
+        self.columnar = mem.columnar
         self.cost_model = cost_model if cost_model is not None else CostModel(mode)
         self.account = (
-            account if account is not None else CycleAccount(label="iommu-driver")
+            account
+            if account is not None
+            else CycleAccount(label="iommu-driver", columnar=self.columnar)
         )
 
         if mode.uses_magazine_allocator:
@@ -121,13 +124,14 @@ class BaselineIommuDriver:
                 iommu.iotlb, self.allocator, qi=iommu.qi
             )
 
-        # Per-invocation constants for the staged-charge fast path.
-        # Under the CALIBRATED policy every cost method returns an
-        # argument-independent constant, so the hot map/unmap paths can
-        # stage pre-computed charges (folded in bulk by the account)
-        # instead of re-deriving each one.  MICRO costs vary with the
-        # observed operation counts, so they keep the scalar path.
-        if self.cost_model.policy is CostPolicy.CALIBRATED:
+        # Per-invocation constants for the columnar build's staged-charge
+        # fast path.  Under the CALIBRATED policy every cost method
+        # returns an argument-independent constant, so the hot map/unmap
+        # paths can stage pre-computed charges (folded in bulk by the
+        # account) instead of re-deriving each one.  MICRO costs vary
+        # with the observed operation counts, so they keep the scalar
+        # path, as does the whole scalar build.
+        if self.columnar and self.cost_model.policy is CostPolicy.CALIBRATED:
             cm = self.cost_model
             self._staged_costs = (
                 cm.iova_alloc(0, False),
@@ -165,18 +169,6 @@ class BaselineIommuDriver:
 
     # -- map (Figure 4) ---------------------------------------------------
 
-    def map(self, phys_addr: int, size: int, direction: DmaDirection) -> int:
-        """Deprecated positional form of :meth:`map_request`."""
-        warnings.warn(
-            "BaselineIommuDriver.map(phys, size, dir) is deprecated; use "
-            "map_request(MapRequest(phys_addr=..., size=..., direction=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.map_request(
-            MapRequest(phys_addr=phys_addr, size=size, direction=direction)
-        ).device_addr
-
     def map_request(self, req: MapRequest) -> MapResult:
         """Map ``[phys_addr, phys_addr + size)``; the result carries its IOVA.
 
@@ -185,11 +177,9 @@ class BaselineIommuDriver:
         """
         phys_addr, size, direction, _ring = req
         if (
-            _datapath.COLUMNAR_ENABLED
+            self._staged_costs is not None
             and not TRACE.active
             and self.map_hook is None
-            and self._staged_costs is not None
-            and perf_cycles.BATCH_ENABLED
         ):
             return self._map_fast(phys_addr, size, direction)
         if size <= 0:
@@ -201,7 +191,7 @@ class BaselineIommuDriver:
         # Step 3: IOVA allocation.
         rng = self.allocator.alloc(pages)
         account = self.account
-        costs = self._staged_costs if perf_cycles.BATCH_ENABLED else None
+        costs = self._staged_costs
         if costs is None:
             stats = self.allocator.stats
             cache_hit = (
@@ -293,18 +283,6 @@ class BaselineIommuDriver:
 
     # -- unmap (Figure 6) ---------------------------------------------------
 
-    def unmap(self, iova: int, end_of_burst: bool = False) -> int:
-        """Deprecated positional form of :meth:`unmap_request`."""
-        warnings.warn(
-            "BaselineIommuDriver.unmap(iova, end_of_burst) is deprecated; use "
-            "unmap_request(UnmapRequest(device_addr=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.unmap_request(
-            UnmapRequest(device_addr=iova, end_of_burst=end_of_burst)
-        ).phys_addr
-
     def unmap_request(self, req: UnmapRequest) -> UnmapResult:
         """Tear down the mapping at ``req.device_addr``.
 
@@ -318,7 +296,7 @@ class BaselineIommuDriver:
         # Step: find the IOVA in the allocator's tree.
         rng = self.allocator.find(pfn)
         account = self.account
-        costs = self._staged_costs if perf_cycles.BATCH_ENABLED else None
+        costs = self._staged_costs
         if costs is None:
             account.charge(
                 Component.IOVA_FIND,
@@ -429,13 +407,8 @@ class BaselineIommuDriver:
         UNMAP_PAGE_TABLE charges are run-length encoded so the staged
         folds match the scalar sequence exactly.
         """
-        costs = self._staged_costs if perf_cycles.BATCH_ENABLED else None
-        if (
-            costs is None
-            or self.unmap_hook is not None
-            or TRACE.active
-            or not _datapath.COLUMNAR_ENABLED
-        ):
+        costs = self._staged_costs
+        if costs is None or self.unmap_hook is not None or TRACE.active:
             return [
                 self.unmap_request(UnmapRequest(device_addr=addr)).phys_addr
                 for addr in device_addrs

@@ -1,7 +1,7 @@
 """A Linux-like DMA mapping API with pluggable protection backends.
 
-Device drivers call :meth:`DmaApi.map` before posting a DMA and
-:meth:`DmaApi.unmap` after it completes ("DMA addresses should be mapped
+Device drivers call :meth:`DmaApi.map_request` before posting a DMA and
+:meth:`DmaApi.unmap_request` after it completes ("DMA addresses should be mapped
 only for the time they are actually used and unmapped after the DMA
 transfer" — the kernel DMA API rule the paper quotes).  The same driver
 code then runs unchanged under any of the seven protection modes; only
@@ -15,7 +15,6 @@ the backend differs:
 from __future__ import annotations
 
 import abc
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,10 +43,14 @@ class SgEntry:
 
 
 class DmaApi(abc.ABC):
-    """Mode-independent mapping interface used by device drivers."""
+    """Mode-independent mapping interface used by device drivers.
 
-    def __init__(self) -> None:
-        self.account = CycleAccount(label="dma-api")
+    ``columnar`` is the datapath build of the API's own cycle account;
+    the protected backends replace that account with their driver's.
+    """
+
+    def __init__(self, columnar: bool = True) -> None:
+        self.account = CycleAccount(label="dma-api", columnar=columnar)
 
     @abc.abstractmethod
     def map_request(self, req: MapRequest) -> MapResult:
@@ -64,37 +67,6 @@ class DmaApi(abc.ABC):
         ``req.end_of_burst`` marks the last unmap of a completion burst
         — the only point where the rIOMMU needs an rIOTLB invalidation.
         """
-
-    def map(
-        self,
-        phys_addr: int,
-        size: int,
-        direction: DmaDirection,
-        ring: Optional[int] = None,
-    ) -> int:
-        """Deprecated positional form of :meth:`map_request`."""
-        warnings.warn(
-            "DmaApi.map(phys, size, dir, ring) is deprecated; use "
-            "map_request(MapRequest(phys_addr=..., size=..., direction=..., "
-            "ring=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.map_request(
-            MapRequest(phys_addr=phys_addr, size=size, direction=direction, ring=ring)
-        ).device_addr
-
-    def unmap(self, device_addr: int, end_of_burst: bool = False) -> int:
-        """Deprecated positional form of :meth:`unmap_request`."""
-        warnings.warn(
-            "DmaApi.unmap(device_addr, end_of_burst) is deprecated; use "
-            "unmap_request(UnmapRequest(device_addr=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.unmap_request(
-            UnmapRequest(device_addr=device_addr, end_of_burst=end_of_burst)
-        ).phys_addr
 
     @abc.abstractmethod
     def create_ring(self, entries: int) -> Optional[int]:

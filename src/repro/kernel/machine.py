@@ -3,12 +3,18 @@
 A :class:`Machine` wires the pieces for one of the seven modes and
 hands out per-device :class:`~repro.kernel.dma_api.DmaApi` instances, so
 higher layers (device drivers, workloads) are mode-agnostic.
+
+Each machine is built for one datapath build (``datapath``, one of
+:data:`~repro.config.BUILDS`): memory, bus, drivers and cycle accounts
+all carry it from construction, so a scalar and a columnar machine can
+run side by side in one process.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.config import BUILDS, DEFAULT_BUILD, check_build
 from repro.core.driver import RIommuDriver
 from repro.core.riotlb import RIommuHardware
 from repro.devices.dma import (
@@ -43,9 +49,18 @@ class Machine:
         cost_primitives: Optional[PrimitiveCosts] = None,
         cost_overrides: Optional[dict] = None,
         riommu_prefetch: bool = True,
+        datapath: str = DEFAULT_BUILD,
     ) -> None:
         self.mode = mode
-        self.mem = mem if mem is not None else MemorySystem()
+        if datapath not in BUILDS:
+            check_build(datapath)  # raises the canonical ValueError
+        self.datapath = datapath
+        self.columnar = datapath == "columnar"
+        if mem is None:
+            mem = MemorySystem(columnar=self.columnar)
+        elif mem.columnar != self.columnar:
+            raise ValueError(f"mem was not built for the {datapath!r} datapath build")
+        self.mem = mem
         self.cost_policy = cost_policy
         self.cost_scale = cost_scale
         self.cost_primitives = cost_primitives
@@ -70,7 +85,7 @@ class Machine:
             self.riommu = RIommuHardware(
                 self.mem, self.coherency, prefetch_enabled=riommu_prefetch
             )
-            backend = RIommuBackend(self.riommu)
+            backend = RIommuBackend(self.riommu, columnar=self.columnar)
         self.bus = DmaBus(self.mem, backend)
 
     # -- per-device DMA APIs ------------------------------------------------
@@ -86,7 +101,7 @@ class Machine:
 
     def _build_api(self, bdf: int) -> DmaApi:
         if self.mode is Mode.NONE:
-            return IdentityDmaApi()
+            return IdentityDmaApi(self.columnar)
         cost_model = CostModel(
             self.mode,
             self.cost_policy,

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Deque, List, Optional, Tuple
 
-from repro import datapath as _datapath
 from repro.devices.descriptor import _CODEC, FLAG_VALID, Descriptor
 from repro.devices.nic import SimulatedNic
 from repro.devices.ring import Ring
@@ -102,6 +101,7 @@ class NetDriver:
         mtu: int = 1500,
     ) -> None:
         self.machine = machine
+        self.columnar = machine.columnar
         self.nic = nic
         self.profile = nic.profile
         self.mtu = mtu
@@ -208,7 +208,7 @@ class NetDriver:
     def _post(self, ring: Ring, segments: List[Tuple[int, int]]) -> int:
         """Post a VALID descriptor; columnar builds pack the wire bytes
         directly (identical encoding, no ``Descriptor`` object)."""
-        if _datapath.COLUMNAR_ENABLED:
+        if self.columnar:
             (addr0, len0), (addr1, len1) = (
                 (segments[0], segments[1])
                 if len(segments) > 1

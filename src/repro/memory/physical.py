@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro import datapath as _datapath
 from repro.memory.address import (
     PAGE_MASK,
     PAGE_SHIFT,
@@ -20,12 +19,6 @@ from repro.memory.address import (
     page_number,
     page_offset,
 )
-
-#: Single-frame read/write fast paths (identical semantics, less Python
-#: overhead).  Governed by ``REPRO_DATAPATH`` (see
-#: :mod:`repro.datapath`); parity tests also toggle this at runtime.
-FASTPATH_ENABLED = _datapath.FASTPATH_ENABLED
-
 
 class OutOfMemoryError(RuntimeError):
     """The frame allocator has no free frames left."""
@@ -40,12 +33,15 @@ class PhysicalMemory:
 
     Frames are materialised lazily on first write.  Reads of untouched
     memory return zero bytes, mirroring zero-filled DRAM after
-    allocation.
+    allocation.  ``columnar`` selects the datapath build: the columnar
+    build adds single-frame read/write fast paths (identical semantics,
+    less Python overhead); the scalar build always takes the chunk loops.
     """
 
-    def __init__(self, size_bytes: int = 1 << 32) -> None:
+    def __init__(self, size_bytes: int = 1 << 32, columnar: bool = True) -> None:
         if size_bytes <= 0 or size_bytes % PAGE_SIZE != 0:
             raise ValueError("memory size must be a positive multiple of the page size")
+        self.columnar = columnar
         self.size_bytes = size_bytes
         self.num_frames = size_bytes // PAGE_SIZE
         self._frames: Dict[int, bytearray] = {}
@@ -72,7 +68,7 @@ class PhysicalMemory:
         # ``_check_range`` (anything they reject falls through and gets
         # the canonical error from the slow path).
         if (
-            FASTPATH_ENABLED
+            self.columnar
             and type(addr) is int
             and 0 <= addr
             and 0 < size
@@ -104,7 +100,7 @@ class PhysicalMemory:
         """Read ``size`` bytes starting at physical address ``addr``."""
         # Fast path: single-frame access (see ``write``).
         if (
-            FASTPATH_ENABLED
+            self.columnar
             and type(addr) is int
             and type(size) is int
             and 0 <= addr
@@ -135,7 +131,7 @@ class PhysicalMemory:
         # Dedicated fast path: PTE/descriptor stores are the hottest
         # writes in the simulator, worth skipping one call layer.
         if (
-            FASTPATH_ENABLED
+            self.columnar
             and type(addr) is int
             and 0 <= addr
             and (addr & PAGE_MASK) <= PAGE_SIZE - 8
@@ -154,7 +150,7 @@ class PhysicalMemory:
     def read_u64(self, addr: int) -> int:
         """Read a little-endian 64-bit value at ``addr``."""
         if (
-            FASTPATH_ENABLED
+            self.columnar
             and type(addr) is int
             and 0 <= addr
             and (addr & PAGE_MASK) <= PAGE_SIZE - 8
@@ -180,7 +176,7 @@ class PhysicalMemory:
         extents = list(extents)
         # Fast path: one single-frame extent (most descriptor fetches and
         # sub-page packet buffers) — one dict probe, one slice.
-        if FASTPATH_ENABLED and len(extents) == 1:
+        if self.columnar and len(extents) == 1:
             addr, size = extents[0]
             if (
                 type(addr) is int
@@ -240,7 +236,7 @@ class PhysicalMemory:
         """
         extents = list(extents)
         # Fast path: one single-frame extent covering all of ``data``.
-        if FASTPATH_ENABLED and len(extents) == 1:
+        if self.columnar and len(extents) == 1:
             addr, size = extents[0]
             if (
                 type(addr) is int
@@ -476,10 +472,21 @@ class FrameAllocator:
 
 
 class MemorySystem:
-    """Convenience bundle of :class:`PhysicalMemory` and :class:`FrameAllocator`."""
+    """Convenience bundle of :class:`PhysicalMemory` and :class:`FrameAllocator`.
 
-    def __init__(self, size_bytes: int = 1 << 32, reserved_frames: int = 16) -> None:
-        self.ram = PhysicalMemory(size_bytes)
+    ``columnar`` is the datapath build of the machine this memory
+    belongs to; the drivers and DMA bus built over it read their build
+    from here.
+    """
+
+    def __init__(
+        self,
+        size_bytes: int = 1 << 32,
+        reserved_frames: int = 16,
+        columnar: bool = True,
+    ) -> None:
+        self.columnar = columnar
+        self.ram = PhysicalMemory(size_bytes, columnar)
         self.allocator = FrameAllocator(self.ram, reserved_frames)
 
     def alloc_dma_buffer(self, size: int, pin: bool = True) -> int:
@@ -491,7 +498,7 @@ class MemorySystem:
         Exhaustion falls through to the slow path for the canonical
         :class:`OutOfMemoryError`.
         """
-        if FASTPATH_ENABLED and pin and 0 < size <= PAGE_SIZE:
+        if self.columnar and pin and 0 < size <= PAGE_SIZE:
             allocator = self.allocator
             free = allocator._free
             if free:
@@ -521,7 +528,7 @@ class MemorySystem:
         ``ValueError`` is raised — uses the generic path.
         """
         if (
-            FASTPATH_ENABLED
+            self.columnar
             and type(addr) is int
             and 0 < size <= PAGE_SIZE
             and addr >= 0

@@ -13,9 +13,9 @@ observable state is (total cycles, event count), so ``k`` identical
 charges may be *staged* as a counter and folded in one step — provided
 the fold reproduces the exact float sum the charge-by-charge loop would
 have produced.  :meth:`CycleAccount.stage` and
-:meth:`CycleAccount.charge_many` implement that; the ``scalar`` build
-(``REPRO_DATAPATH=scalar``) forces every staged charge through the
-scalar path for differential testing.
+:meth:`CycleAccount.charge_many` implement that; an account of the
+``scalar`` build (``columnar=False``) forces every staged charge
+through the scalar path for differential testing.
 """
 
 from __future__ import annotations
@@ -24,14 +24,8 @@ import enum
 import itertools
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro import datapath as _datapath
 from repro.obs.lite import LITE
 from repro.obs.tracer import TRACE
-
-#: Counter-based charge staging (identical model cycles, fewer Python
-#: dict operations per burst).  Governed by ``REPRO_DATAPATH`` (see
-#: :mod:`repro.datapath`); parity tests also toggle this at runtime.
-BATCH_ENABLED = _datapath.BATCH_ENABLED
 
 #: Largest magnitude at which float addition of integers is exact, so a
 #: fold ``total += cycles * n`` is bit-identical to ``n`` repeated adds.
@@ -123,9 +117,11 @@ class CycleAccount:
     running total and the per-charge cost are both integral and within
     the float-exact range, and replays the addition loop otherwise — so
     staging can never change an observable number, only wall-clock time.
+    ``columnar=False`` (the scalar build) turns staging off: every
+    staged charge is then a plain :meth:`charge`.
     """
 
-    __slots__ = ("_cycles", "_events", "_staged", "_tid", "_label")
+    __slots__ = ("_cycles", "_events", "_staged", "_tid", "_label", "columnar")
 
     #: Process-wide id sequence; gives each account a stable trace track.
     _ids = itertools.count()
@@ -135,6 +131,7 @@ class CycleAccount:
         cycles: Optional[Dict[Component, float]] = None,
         events: Optional[Dict[Component, int]] = None,
         label: Optional[str] = None,
+        columnar: bool = True,
     ) -> None:
         self._cycles: Dict[Component, float] = dict(cycles) if cycles else {}
         self._events: Dict[Component, int] = dict(events) if events else {}
@@ -144,6 +141,8 @@ class CycleAccount:
         #: layer tag carried on every emitted ``cycle_charge`` event, so
         #: the attribution profiler can break cycles down per layer
         self._label: Optional[str] = label
+        #: the datapath build: staged (counter-based) charging when True
+        self.columnar = columnar
         if LITE.active:
             LITE.on_account(self)
 
@@ -237,10 +236,10 @@ class CycleAccount:
         """Stage one charge, coalescing repeats into a counter.
 
         Observably identical to :meth:`charge`; the fold happens at the
-        next read (or differing charge) of the component.  With batching
-        disabled this *is* :meth:`charge`.
+        next read (or differing charge) of the component.  In the scalar
+        build this *is* :meth:`charge`.
         """
-        if not BATCH_ENABLED:
+        if not self.columnar:
             self.charge(component, cycles, events)
             return
         staged = self._staged
@@ -277,7 +276,7 @@ class CycleAccount:
         """
         if count <= 0:
             raise ValueError("count must be positive")
-        if not BATCH_ENABLED:
+        if not self.columnar:
             for _ in range(count):
                 self.charge(component, cycles, events)
             return

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
+from repro.config import DEFAULT_BUILD
 from repro.prefetch.base import Prefetcher, PrefetchSimulator, PrefetchStats
 from repro.prefetch.distance import DistancePrefetcher
 from repro.prefetch.markov import MarkovPrefetcher
@@ -120,7 +121,9 @@ def replay_riotlb(trace: DmaTrace) -> RiotlbReplay:
     return RiotlbReplay(accesses=len(accesses), hits=hits)
 
 
-def measure_riotlb(packets: int = 500) -> "RIotlbMeasurement":
+def measure_riotlb(
+    packets: int = 500, datapath: str = DEFAULT_BUILD
+) -> "RIotlbMeasurement":
     """Run the functional rIOMMU NIC simulation and report rIOTLB stats.
 
     This is the apples-to-apples counterpart of the prefetcher replays:
@@ -134,7 +137,7 @@ def measure_riotlb(packets: int = 500) -> "RIotlbMeasurement":
     from repro.sim.netperf import NIC_BDF
     from repro.sim.setups import MLX_SETUP
 
-    machine = Machine(Mode.RIOMMU)
+    machine = Machine(Mode.RIOMMU, datapath=datapath)
     nic = SimulatedNic(machine.bus, NIC_BDF, MLX_SETUP.nic_profile)
     driver = NetDriver(machine, nic, coalesce_threshold=64)
     driver.fill_rx()

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.config import DEFAULT_BUILD
 from repro.devices.nic import SimulatedNic
 from repro.kernel.machine import Machine
 from repro.kernel.net_driver import NetDriver
@@ -70,13 +71,15 @@ def record_netperf_trace(
     setup: Setup = MLX_SETUP,
     mode: Mode = Mode.STRICT_PLUS,
     burst: int = 64,
+    datapath: str = DEFAULT_BUILD,
 ) -> DmaTrace:
     """Record the DMA trace of a Netperf-stream-like run.
 
-    Builds a baseline-IOMMU machine and NIC driver, attaches the
-    recorder's hooks, then pushes ``packets`` transmit packets through.
+    Builds a baseline-IOMMU machine (of the ``datapath`` build) and NIC
+    driver, attaches the recorder's hooks, then pushes ``packets``
+    transmit packets through.
     """
-    machine = Machine(mode, cost_scale=setup.cost_scale(mode))
+    machine = Machine(mode, cost_scale=setup.cost_scale(mode), datapath=datapath)
     nic = SimulatedNic(machine.bus, NIC_BDF, setup.nic_profile)
     driver = NetDriver(machine, nic, coalesce_threshold=burst)
     recorder = TraceRecorder(machine, NIC_BDF)

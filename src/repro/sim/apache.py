@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.config import DEFAULT_BUILD
 from repro.devices.nic import SimulatedNic
 from repro.kernel.machine import Machine
 from repro.kernel.net_driver import NetDriver
@@ -67,9 +68,11 @@ class ApacheBench:
         """All frames the server handles per request."""
         return 1 + CONN_RX_FRAMES + self.response_frames + CONN_TX_FRAMES
 
-    def _build(self, setup: Setup, mode: Mode) -> Tuple[Machine, NetDriver]:
+    def _build(
+        self, setup: Setup, mode: Mode, datapath: str
+    ) -> Tuple[Machine, NetDriver]:
         """Construct the machine + driver complex one run (or actor) owns."""
-        machine = build_machine(setup, mode, **self.machine_kwargs)
+        machine = build_machine(setup, mode, datapath=datapath, **self.machine_kwargs)
         nic = SimulatedNic(machine.bus, NIC_BDF, setup.nic_profile)
         driver = NetDriver(machine, nic, coalesce_threshold=setup.stream_burst)
         driver.fill_rx()
@@ -126,9 +129,11 @@ class ApacheBench:
         # The application work for this request.
         driver.account.stage(Component.PROCESSING, self.app_cycles)
 
-    def build_actors(self, setup: Setup, mode: Mode) -> List["ApacheActor"]:
+    def build_actors(
+        self, setup: Setup, mode: Mode, datapath: str = DEFAULT_BUILD
+    ) -> List["ApacheActor"]:
         """The event-kernel form of this workload: one server actor."""
-        return [ApacheActor(self, setup, mode)]
+        return [ApacheActor(self, setup, mode, datapath)]
 
     def finalize_events(
         self, actors: List["ApacheActor"], setup: Setup, mode: Mode
@@ -149,10 +154,16 @@ class ApacheActor(WorkloadActor):
 
     _WARMUP, _MEASURE, _DONE = range(3)
 
-    def __init__(self, workload: ApacheBench, setup: Setup, mode: Mode) -> None:
+    def __init__(
+        self,
+        workload: ApacheBench,
+        setup: Setup,
+        mode: Mode,
+        datapath: str = DEFAULT_BUILD,
+    ) -> None:
         self.workload = workload
         self.setup = setup
-        self.machine, self.driver = workload._build(setup, mode)
+        self.machine, self.driver = workload._build(setup, mode, datapath)
         super().__init__(self.driver.account)
         self.phase = self._WARMUP
         self.i = 0

@@ -284,7 +284,6 @@ def run_arm(payload: Dict[str, object]) -> Dict[str, object]:
        traced per-event semantics regardless of build; results are
        parity-pinned identical, which ``passes_agree`` re-checks here).
     """
-    from repro import datapath
     from repro.sim.runner import run_prepared
     from repro.sim.setups import setup_by_name
 
@@ -294,19 +293,10 @@ def run_arm(payload: Dict[str, object]) -> Dict[str, object]:
     if spec.setup_overrides:
         setup = replace(setup, **spec.setup_overrides)
 
-    previous_build = datapath.current_build()
-    datapath.set_datapath(spec.datapath)
-    try:
-        lite_config = RunConfig(
-            fast=spec.fast, datapath=spec.datapath, observe="lite"
-        )
-        lite = run_prepared(_instantiate(spec, mode), setup, mode, lite_config)
-        full_config = RunConfig(
-            fast=spec.fast, datapath=spec.datapath, observe="full"
-        )
-        full = run_prepared(_instantiate(spec, mode), setup, mode, full_config)
-    finally:
-        datapath.set_datapath(previous_build)
+    lite_config = RunConfig(fast=spec.fast, datapath=spec.datapath, observe="lite")
+    lite = run_prepared(_instantiate(spec, mode), setup, mode, lite_config)
+    full_config = RunConfig(fast=spec.fast, datapath=spec.datapath, observe="full")
+    full = run_prepared(_instantiate(spec, mode), setup, mode, full_config)
 
     profile = lite.telemetry["profile"]
     audit = full.obs["audit"]

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.config import DEFAULT_BUILD
 from repro.devices.nic import SimulatedNic
 from repro.kernel.machine import Machine
 from repro.kernel.net_driver import NetDriver
@@ -42,9 +43,11 @@ class MemcachedBench:
     #: extra Machine() arguments (cost policy/overrides for ablations)
     machine_kwargs: Dict = field(default_factory=dict)
 
-    def _build(self, setup: Setup, mode: Mode) -> Tuple[Machine, NetDriver]:
+    def _build(
+        self, setup: Setup, mode: Mode, datapath: str
+    ) -> Tuple[Machine, NetDriver]:
         """Construct the machine + driver complex one run (or actor) owns."""
-        machine = build_machine(setup, mode, **self.machine_kwargs)
+        machine = build_machine(setup, mode, datapath=datapath, **self.machine_kwargs)
         nic = SimulatedNic(machine.bus, NIC_BDF, setup.nic_profile)
         driver = NetDriver(machine, nic, coalesce_threshold=setup.stream_burst)
         driver.fill_rx()
@@ -95,9 +98,11 @@ class MemcachedBench:
         driver.account.stage(Component.PROCESSING, setup.c_none_stream)
         driver.account.stage(Component.PROCESSING, self.app_cycles)
 
-    def build_actors(self, setup: Setup, mode: Mode) -> List["MemcachedActor"]:
+    def build_actors(
+        self, setup: Setup, mode: Mode, datapath: str = DEFAULT_BUILD
+    ) -> List["MemcachedActor"]:
         """The event-kernel form of this workload: one server actor."""
-        return [MemcachedActor(self, setup, mode)]
+        return [MemcachedActor(self, setup, mode, datapath)]
 
     def finalize_events(
         self, actors: List["MemcachedActor"], setup: Setup, mode: Mode
@@ -117,10 +122,16 @@ class MemcachedActor(WorkloadActor):
 
     _WARMUP, _MEASURE, _DONE = range(3)
 
-    def __init__(self, workload: MemcachedBench, setup: Setup, mode: Mode) -> None:
+    def __init__(
+        self,
+        workload: MemcachedBench,
+        setup: Setup,
+        mode: Mode,
+        datapath: str = DEFAULT_BUILD,
+    ) -> None:
         self.workload = workload
         self.setup = setup
-        self.machine, self.driver = workload._build(setup, mode)
+        self.machine, self.driver = workload._build(setup, mode, datapath)
         super().__init__(self.driver.account)
         self.phase = self._WARMUP
         self.i = 0

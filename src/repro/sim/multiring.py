@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List
 
+from repro.config import DEFAULT_BUILD
 from repro.modes import Mode
 from repro.perf.cycles import Component
 from repro.perf.model import throughput_with_line_rate
@@ -60,11 +61,13 @@ class MultiRingStream:
 
     # -- event-kernel protocol ------------------------------------------
 
-    def build_actors(self, setup: Setup, mode: Mode) -> List[StreamActor]:
+    def build_actors(
+        self, setup: Setup, mode: Mode, datapath: str = DEFAULT_BUILD
+    ) -> List[StreamActor]:
         """One stream actor per domain, tagged with its domain index."""
         actors = []
         for domain in range(self.domains):
-            actor = StreamActor(self._domain_stream(), setup, mode)
+            actor = StreamActor(self._domain_stream(), setup, mode, datapath)
             actor.domain = domain
             actors.append(actor)
         return actors
@@ -80,7 +83,11 @@ class MultiRingStream:
     # -- sharding protocol ----------------------------------------------
 
     def run_domains(
-        self, setup: Setup, mode: Mode, domain_ids: Iterable[int]
+        self,
+        setup: Setup,
+        mode: Mode,
+        domain_ids: Iterable[int],
+        datapath: str = DEFAULT_BUILD,
     ) -> List[Dict[str, object]]:
         """Run the given domains to completion; returns their payloads.
 
@@ -93,7 +100,7 @@ class MultiRingStream:
 
         payloads = []
         for domain in domain_ids:
-            actor = StreamActor(self._domain_stream(), setup, mode)
+            actor = StreamActor(self._domain_stream(), setup, mode, datapath)
             actor.domain = domain
             if LITE.active:
                 # Prime the monotonic clock like EventSim's heap seeding

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.config import DEFAULT_BUILD
 from repro.devices.nic import SimulatedNic
 from repro.iommu.context import make_bdf
 from repro.kernel.machine import Machine
@@ -60,9 +61,11 @@ class NetperfStream:
     #: extra NetDriver() arguments (ring sizing/coalescing for ablations)
     driver_kwargs: Dict = field(default_factory=dict)
 
-    def _build(self, setup: Setup, mode: Mode) -> Tuple[Machine, NetDriver]:
+    def _build(
+        self, setup: Setup, mode: Mode, datapath: str
+    ) -> Tuple[Machine, NetDriver]:
         """Construct the machine + driver complex one run (or actor) owns."""
-        machine = build_machine(setup, mode, **self.machine_kwargs)
+        machine = build_machine(setup, mode, datapath=datapath, **self.machine_kwargs)
         nic = SimulatedNic(machine.bus, NIC_BDF, setup.nic_profile)
         driver_kwargs = dict(self.driver_kwargs)
         driver_kwargs.setdefault("coalesce_threshold", setup.stream_burst)
@@ -94,9 +97,11 @@ class NetperfStream:
             metrics=collect_machine_metrics(machine),
         )
 
-    def build_actors(self, setup: Setup, mode: Mode) -> List["StreamActor"]:
+    def build_actors(
+        self, setup: Setup, mode: Mode, datapath: str = DEFAULT_BUILD
+    ) -> List["StreamActor"]:
         """The event-kernel form of this workload: one stream actor."""
-        return [StreamActor(self, setup, mode)]
+        return [StreamActor(self, setup, mode, datapath)]
 
     def finalize_events(
         self, actors: List["StreamActor"], setup: Setup, mode: Mode
@@ -117,10 +122,16 @@ class StreamActor(WorkloadActor):
 
     _WARMUP, _MEASURE, _DONE = range(3)
 
-    def __init__(self, workload: NetperfStream, setup: Setup, mode: Mode) -> None:
+    def __init__(
+        self,
+        workload: NetperfStream,
+        setup: Setup,
+        mode: Mode,
+        datapath: str = DEFAULT_BUILD,
+    ) -> None:
         self.workload = workload
         self.setup = setup
-        self.machine, self.driver = workload._build(setup, mode)
+        self.machine, self.driver = workload._build(setup, mode, datapath)
         super().__init__(self.driver.account)
         self.phase = self._WARMUP
         self.sent = 0
@@ -191,9 +202,11 @@ class NetperfRR:
     #: extra NetDriver() arguments (ring sizing/coalescing for ablations)
     driver_kwargs: Dict = field(default_factory=dict)
 
-    def _build(self, setup: Setup, mode: Mode) -> Tuple[Machine, NetDriver]:
+    def _build(
+        self, setup: Setup, mode: Mode, datapath: str
+    ) -> Tuple[Machine, NetDriver]:
         """Construct the machine + driver complex one run (or actor) owns."""
-        machine = build_machine(setup, mode, **self.machine_kwargs)
+        machine = build_machine(setup, mode, datapath=datapath, **self.machine_kwargs)
         nic = SimulatedNic(machine.bus, NIC_BDF, setup.nic_profile)
         driver_kwargs = dict(self.driver_kwargs)
         driver_kwargs.setdefault("coalesce_threshold", self.burst)
@@ -229,9 +242,11 @@ class NetperfRR:
             metrics=collect_machine_metrics(machine),
         )
 
-    def build_actors(self, setup: Setup, mode: Mode) -> List["RRActor"]:
+    def build_actors(
+        self, setup: Setup, mode: Mode, datapath: str = DEFAULT_BUILD
+    ) -> List["RRActor"]:
         """The event-kernel form of this workload: one RR actor."""
-        return [RRActor(self, setup, mode)]
+        return [RRActor(self, setup, mode, datapath)]
 
     def finalize_events(
         self, actors: List["RRActor"], setup: Setup, mode: Mode
@@ -252,10 +267,16 @@ class RRActor(WorkloadActor):
 
     _WARMUP, _MEASURE, _DONE = range(3)
 
-    def __init__(self, workload: NetperfRR, setup: Setup, mode: Mode) -> None:
+    def __init__(
+        self,
+        workload: NetperfRR,
+        setup: Setup,
+        mode: Mode,
+        datapath: str = DEFAULT_BUILD,
+    ) -> None:
         self.workload = workload
         self.setup = setup
-        self.machine, self.driver = workload._build(setup, mode)
+        self.machine, self.driver = workload._build(setup, mode, datapath)
         super().__init__(self.driver.account)
         self.phase = self._WARMUP
         self.i = 0

@@ -11,7 +11,9 @@ worker count (the parity tests pin this).
 
 Cells are shipped to workers by name (setup name, benchmark name, mode
 label) rather than by object, so nothing fancy needs to pickle; the
-worker re-resolves the objects from the registries.  If a pool cannot
+worker re-resolves the objects from the registries.  Each cell also
+carries the run's :class:`~repro.config.RunConfig`, so a worker never
+consults its environment for a knob.  If a pool cannot
 be created or dies (no ``fork`` support, resource limits, a worker
 killed), the runner warns and executes the cells serially in-process —
 slower, never wrong.
@@ -22,8 +24,9 @@ from __future__ import annotations
 import os
 import pickle
 import warnings
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
+from repro.config import RunConfig
 from repro.modes import ALL_MODES, Mode
 from repro.sim.results import RunResult
 from repro.sim.setups import ALL_SETUPS, Setup, setup_by_name
@@ -31,8 +34,8 @@ from repro.sim.setups import ALL_SETUPS, Setup, setup_by_name
 T = TypeVar("T")
 U = TypeVar("U")
 
-#: One grid cell, in picklable-by-name form: (setup, benchmark, mode, fast).
-GridCell = Tuple[str, str, str, bool]
+#: One grid cell, in picklable-by-name form: (setup, benchmark, mode, config).
+GridCell = Tuple[str, str, str, RunConfig]
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -48,50 +51,17 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def worker_env_probe(names: Tuple[str, ...]) -> Dict[str, Optional[str]]:
-    """Report a worker process's view of the given environment variables.
-
-    A module-level function so it pickles to pool workers; the env
-    propagation tests map it across a real pool to pin that the knob
-    exports (``set_datapath``/``set_shards``/``REPRO_OBSERVE``) actually
-    reach ``run_grid``'s worker processes, not just the parent.  Also
-    carries the worker's PID so a test can tell whether a pool was
-    really used or the serial fallback ran.
-    """
-    return dict(
-        {name: os.environ.get(name) for name in names},
-        _pid=str(os.getpid()),
-    )
-
-
-def worker_config_probe(_: object = None) -> "RunConfig":
-    """Reconstruct a worker process's :class:`RunConfig` from its env.
-
-    A module-level function so it pickles to pool workers; the config
-    round-trip test maps it across a real pool to pin that a parent's
-    ``RunConfig.exported()`` block makes every worker resolve an
-    *identical* config — the one-funnel replacement for probing knob
-    variables individually.
-    """
-    from repro.config import RunConfig
-
-    return RunConfig.from_env()
-
-
 def run_cell(cell: GridCell) -> RunResult:
     """Execute one grid cell (the worker-process entry point).
 
-    The worker's knobs come from the environment the parent exported
-    (``RunConfig.from_env()``); only ``fast`` rides in the cell itself,
-    because it is per-work-item sizing, not process configuration.
+    Every knob, the datapath build included, comes from the config the
+    cell carries.
     """
     # Imported lazily: the runner imports this module for its public
     # helpers, so a top-level import would be circular.
-    from repro.config import RunConfig
     from repro.sim.runner import run_with_config
 
-    setup_name, benchmark, mode_label, fast = cell
-    config = RunConfig.from_env(fast=fast)
+    setup_name, benchmark, mode_label, config = cell
     return run_with_config(
         setup_by_name(setup_name), Mode(mode_label), benchmark, config
     )
@@ -149,11 +119,11 @@ def grid_cells(
     setups: Iterable[Setup] = ALL_SETUPS,
     benchmarks: Iterable[str] = (),
     modes: Iterable[Mode] = ALL_MODES,
-    fast: bool = False,
+    config: RunConfig = RunConfig(),
 ) -> List[GridCell]:
     """The grid flattened to cells, in the serial runner's nested order."""
     return [
-        (setup.name, benchmark, mode.label, fast)
+        (setup.name, benchmark, mode.label, config)
         for setup in setups
         for benchmark in benchmarks
         for mode in modes
@@ -164,7 +134,7 @@ def run_grid(
     setups: Iterable[Setup] = ALL_SETUPS,
     benchmarks: Iterable[str] = (),
     modes: Iterable[Mode] = ALL_MODES,
-    fast: bool = False,
+    config: RunConfig = RunConfig(),
     jobs: Optional[int] = None,
     chunksize: int = 1,
 ):
@@ -180,7 +150,7 @@ def run_grid(
     setups = tuple(setups)
     benchmarks = tuple(benchmarks) if benchmarks else BENCHMARK_NAMES
     modes = tuple(modes)
-    cells = grid_cells(setups, benchmarks, modes, fast)
+    cells = grid_cells(setups, benchmarks, modes, config)
     results = parallel_map(run_cell, cells, resolve_jobs(jobs), chunksize)
 
     grid = EvaluationGrid()

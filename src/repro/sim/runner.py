@@ -41,9 +41,8 @@ def run_benchmark(
     All run-shaping knobs travel in ``config`` — one frozen
     :class:`~repro.config.RunConfig` record (datapath build, shard
     count, observation, timeline window, tenancy scenario, sizing).
-    ``config=None`` resolves the environment (``RunConfig.from_env()``),
-    which is what grid worker processes see after the parent exports
-    its config.
+    The run's machines are built for ``config.datapath``.
+    ``config=None`` resolves the environment (``RunConfig.from_env()``).
 
     ``config.observe="full"`` attaches a
     :class:`~repro.obs.profile.RunObserver` for the duration of the run
@@ -108,7 +107,7 @@ def run_prepared(bench, setup: Setup, mode: Mode, config: RunConfig) -> RunResul
 
 def _execute(bench, setup: Setup, mode: Mode, config: RunConfig) -> RunResult:
     """Run one instantiated workload on the event kernel."""
-    return run_events(bench, setup, mode, config.shards)
+    return run_events(bench, setup, mode, config.shards, config.datapath)
 
 
 def run_mode_sweep(
@@ -201,12 +200,10 @@ def run_figure12(
     value — see :mod:`repro.sim.parallel`.  It stays a direct argument
     because it shapes this call's fan-out, not a run's semantics.
 
-    Every other knob rides in ``config``: for the duration of the grid
-    the config is exported to the environment
-    (:meth:`RunConfig.exported`), so worker processes reconstruct it
-    bit-identically via ``RunConfig.from_env()`` — observation,
-    shards and the datapath build all reach every cell.  ``config=None``
-    resolves the environment.
+    Every other knob rides in ``config``, which each worker receives
+    inside its cell's task — observation, shards and the datapath build
+    all reach every cell, whatever the workers' environment says.
+    ``config=None`` resolves the environment.
 
     When the process-local tracer is recording the grid runs serially
     regardless of ``jobs``: events emitted inside worker processes
@@ -215,21 +212,10 @@ def run_figure12(
     """
     if config is None:
         config = RunConfig.from_env()
-    with config.exported():
-        return _run_grid(setups, benchmarks, modes, config, jobs)
-
-
-def _run_grid(
-    setups: Iterable[Setup],
-    benchmarks: Iterable[str],
-    modes: Iterable[Mode],
-    config: RunConfig,
-    jobs: Optional[int],
-) -> EvaluationGrid:
     if resolve_jobs(jobs) > 1 and not TRACE.active:
         from repro.sim.parallel import run_grid
 
-        return run_grid(setups, benchmarks, modes, config.fast, jobs)
+        return run_grid(setups, benchmarks, modes, config, jobs)
     grid = EvaluationGrid()
     for setup in setups:
         per_setup: Dict[str, Dict[Mode, RunResult]] = {}

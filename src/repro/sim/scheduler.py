@@ -28,49 +28,42 @@ over several cores:
   partition into shards that advance independently between
   synchronization events.  Shards execute either serially in-process
   (the deterministic reference — still one event heap interleaving all
-  domains) or on a worker pool (:func:`run_events` with
-  ``REPRO_SHARDS`` > 1), composing with the ``--jobs`` grid fan-out.
-  Both paths finalize through the workload's single merge function
-  with payloads ordered by domain index, so the sharded result is
-  bit-identical to the serial one by construction.
+  domains) or on a worker pool (:func:`run_events` with ``shards`` > 1,
+  i.e. ``RunConfig.shards``), composing with the ``--jobs`` grid
+  fan-out.  Both paths finalize through the workload's single merge
+  function with payloads ordered by domain index, so the sharded result
+  is bit-identical to the serial one by construction.
 
-The shard count is one knob::
-
-    REPRO_SHARDS=N               # default: 1 (serial reference)
+Both the shard count and the datapath build are arguments: each
+:class:`EventSim` builds its machines for the build it is given, and
+each shard worker's task carries the build.
 
 With a tracer or observer attached the kernel runs serially in-process
-regardless of ``REPRO_SHARDS`` (worker-process events would never
-reach this process's trace buffer), exactly like the parallel grid
-runner.
+regardless of ``shards`` (worker-process events would never reach this
+process's trace buffer), exactly like the parallel grid runner.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
+import json
 import pickle
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.config import BUILDS, DEFAULT_BUILD, normalize_shards
 from repro.modes import Mode
-from repro.obs.lite import LITE
+from repro.obs.lite import LITE, _machine_of
 from repro.obs.tracer import TRACE
 from repro.perf.cycles import CycleAccount, MonotonicClock
 from repro.sim.results import RunResult
 from repro.sim.setups import Setup
 
-# The shard knob constant and resolver live in repro.config (the single
-# RunConfig.from_env path); the historical names stay importable here.
-from repro.config import SHARDS_ENV, resolve_shards
+# The shard knob's environment spelling lives in repro.config (read only
+# by RunConfig.from_env); the historical name stays importable here.
+from repro.config import SHARDS_ENV
 
-#: Schema identifier carried by every checkpoint file.
-CHECKPOINT_SCHEMA = "riommu-repro/checkpoint/v1"
-
-
-def set_shards(shards: int) -> int:
-    """Select the shard count process-wide and export it to workers."""
-    shards = resolve_shards(shards)
-    os.environ[SHARDS_ENV] = str(shards)
-    return shards
+#: Schema identifier carried in the header line of every checkpoint file.
+CHECKPOINT_SCHEMA = "riommu-repro/checkpoint/v2"
 
 
 class WorkloadActor:
@@ -147,18 +140,23 @@ class EventScheduler:
 class EventSim:
     """A workload lifted onto the event kernel.
 
-    Builds the workload's actors, seeds the heap with one event per
-    actor, and dispatches events in modelled-time order until every
-    actor reports completion.  The whole object — scheduler, actors,
-    machines, rings, memory — is picklable, which is what checkpoint /
-    resume serialises.
+    Builds the workload's actors, their machines built for the
+    ``datapath`` build, seeds the heap with one event per actor, and
+    dispatches events in modelled-time order until every actor reports
+    completion.  The whole object — scheduler, actors, machines, rings,
+    memory — is picklable, which is what checkpoint / resume serialises.
     """
 
-    def __init__(self, workload, setup: Setup, mode: Mode) -> None:
+    def __init__(
+        self, workload, setup: Setup, mode: Mode, datapath: str = DEFAULT_BUILD
+    ) -> None:
         self.workload = workload
         self.setup = setup
         self.mode = mode
-        self.actors: List[WorkloadActor] = list(workload.build_actors(setup, mode))
+        self.datapath = datapath
+        self.actors: List[WorkloadActor] = list(
+            workload.build_actors(setup, mode, datapath)
+        )
         if not self.actors:
             raise ValueError(f"workload {workload!r} built no actors")
         self.scheduler = EventScheduler()
@@ -207,6 +205,50 @@ class EventSim:
 
 
 # -- checkpoint / resume ----------------------------------------------------
+#
+# A checkpoint file is one plain JSON header line (schema, build, event
+# count) followed by the pickled simulation.  The header is checked
+# before any byte of the pickle is read, and the pickle is loaded
+# through an unpickler that admits only repro's own classes and the few
+# stdlib types a simulation holds.
+
+
+class CheckpointError(ValueError):
+    """A file is not a loadable simulation checkpoint."""
+
+
+class CheckpointBuildError(CheckpointError):
+    """A checkpoint's header names another build than its machines carry."""
+
+
+#: Longest header line :func:`load_checkpoint` reads before refusing.
+_HEADER_LIMIT = 4096
+
+#: The non-``repro`` globals a checkpoint of any mode or workload holds
+#: (enumerated from checkpoints of every registered workload under all
+#: seven modes, both builds, with and without lite telemetry).
+_STDLIB_GLOBALS = frozenset({("collections", "OrderedDict"), ("collections", "deque")})
+
+#: The bound methods a checkpoint holds (the NIC's completion callbacks,
+#: which pickle spells as ``getattr(driver, name)``), enumerated alike.
+_BOUND_METHODS = frozenset(
+    {
+        ("repro.kernel.net_driver", "NetDriver", "_handle_rx_burst"),
+        ("repro.kernel.net_driver", "NetDriver", "_handle_tx_burst"),
+    }
+)
+
+
+def _bound_method(owner, name: str):
+    """The unpickler's stand-in for ``builtins.getattr``.
+
+    Resolves only the :data:`_BOUND_METHODS`, so a payload cannot reach
+    any other attribute through ``getattr``.
+    """
+    cls = type(owner)
+    if (cls.__module__, cls.__qualname__, name) in _BOUND_METHODS:
+        return getattr(owner, name)
+    raise CheckpointError(f"checkpoint asks for {cls.__qualname__}.{name}")
 
 
 def save_checkpoint(sim: EventSim, path) -> None:
@@ -224,46 +266,99 @@ def save_checkpoint(sim: EventSim, path) -> None:
             "cannot checkpoint while a tracer/observer is attached: the "
             "trace buffer is process state the checkpoint cannot capture"
         )
-    from repro import datapath
-
-    payload = {
+    header = {
         "schema": CHECKPOINT_SCHEMA,
-        "datapath": datapath.current_build(),
+        "datapath": sim.datapath,
         "events_dispatched": sim.scheduler.events_dispatched,
-        "sim": sim,
     }
+    payload = {"sim": sim}
     if LITE.active:
         # Lite telemetry composes with checkpointing: the session-held
         # state (warmup folds, flight-recorder rings) rides along so a
         # resumed run's telemetry matches an uninterrupted one.
         payload["telemetry"] = LITE.checkpoint_state()
     with open(path, "wb") as handle:
+        handle.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
         pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def load_checkpoint(path) -> EventSim:
-    """Reload a checkpointed simulation, validating schema and build.
+def _read_header(handle) -> Dict[str, object]:
+    """Read and validate a checkpoint's header line from a binary file.
 
-    A checkpoint taken under one datapath build must not silently
-    resume under another — the builds are bit-identical in results but
-    not in which staged counters are live mid-run.
+    Raises :class:`CheckpointError` for anything but a complete header
+    of this schema naming a known build; reads nothing past the line.
     """
-    from repro import datapath
-
-    with open(path, "rb") as handle:
-        payload = pickle.load(handle)
-    schema = payload.get("schema") if isinstance(payload, dict) else None
+    line = handle.readline(_HEADER_LIMIT)
+    if not line.endswith(b"\n"):
+        raise CheckpointError("not a simulation checkpoint (no header line)")
+    try:
+        header = json.loads(line)
+    except ValueError:
+        raise CheckpointError(
+            "not a simulation checkpoint (unreadable header)"
+        ) from None
+    schema = header.get("schema") if isinstance(header, dict) else None
     if schema != CHECKPOINT_SCHEMA:
-        raise ValueError(f"not a simulation checkpoint (schema {schema!r})")
-    saved_build = payload.get("datapath")
-    active_build = datapath.current_build()
-    if saved_build != active_build:
-        raise ValueError(
-            f"checkpoint was taken under the {saved_build!r} datapath build "
-            f"but {active_build!r} is active; select the matching build "
-            f"(REPRO_DATAPATH={saved_build}) before resuming"
+        raise CheckpointError(f"not a simulation checkpoint (schema {schema!r})")
+    build = header.get("datapath")
+    if build not in BUILDS:
+        raise CheckpointError(
+            f"checkpoint header names an unknown datapath build {build!r}"
         )
-    sim = payload["sim"]
+    return header
+
+
+class _CheckpointUnpickler(pickle.Unpickler):
+    """Resolves only repro classes, :data:`_STDLIB_GLOBALS` and
+    :data:`_BOUND_METHODS`."""
+
+    def find_class(self, module: str, name: str):
+        if (module, name) == ("builtins", "getattr"):
+            return _bound_method
+        if (module, name) in _STDLIB_GLOBALS:
+            return super().find_class(module, name)
+        if (
+            module.split(".")[0] == "repro"
+            and not module.endswith("__main__")
+            and "." not in name
+        ):
+            found = super().find_class(module, name)
+            owner = getattr(found, "__module__", "") or ""
+            if isinstance(found, type) and owner.split(".")[0] == "repro":
+                return found
+        raise CheckpointError(
+            f"checkpoint refers to {module}.{name}, which no simulation holds"
+        )
+
+
+def load_checkpoint(path) -> EventSim:
+    """Reload a checkpointed simulation, validating header and build.
+
+    The header is checked before any unpickling, and the payload may
+    name only repro classes and the stdlib types a simulation holds, so
+    a foreign or tampered file is refused without running any of it.
+    The simulation resumes under the build its pickled machines carry;
+    a header that disagrees with them raises
+    :class:`CheckpointBuildError`.
+    """
+    with open(path, "rb") as handle:
+        header = _read_header(handle)
+        try:
+            payload = _CheckpointUnpickler(handle).load()
+        except CheckpointError:
+            raise
+        except Exception as exc:
+            raise CheckpointError(f"corrupt checkpoint payload ({exc!r})") from None
+    sim = payload.get("sim") if isinstance(payload, dict) else None
+    if not isinstance(sim, EventSim):
+        raise CheckpointError("checkpoint payload holds no simulation")
+    machines = [_machine_of(actor) for actor in sim.actors]
+    builds = {sim.datapath} | {m.datapath for m in machines if m is not None}
+    if builds != {header["datapath"]}:
+        raise CheckpointBuildError(
+            f"checkpoint header names the {header['datapath']!r} datapath build "
+            f"but its machines carry {sorted(builds)}"
+        )
     if LITE.active and "telemetry" in payload:
         LITE.restore(payload["telemetry"], sim.actors)
     return sim
@@ -279,7 +374,7 @@ def shard_plan(workload, shards: int) -> Optional[List[Tuple[int, ...]]]:
     a single-domain workload, or a workload without the per-domain
     protocol (``run_domains``/``finalize_domains``).  Single-domain
     figure-12 workloads therefore always take the serial reference path
-    no matter what ``REPRO_SHARDS`` says.
+    no matter how many shards are requested.
     """
     domains = int(getattr(workload, "domains", 1))
     if shards <= 1 or domains <= 1 or not hasattr(workload, "run_domains"):
@@ -289,9 +384,9 @@ def shard_plan(workload, shards: int) -> Optional[List[Tuple[int, ...]]]:
 
 
 #: One shard's work order, picklable: (workload, setup name, mode label,
-#: domain indices, lite-telemetry flag).  The workload objects are small
-#: parameter holders.
-ShardTask = Tuple[object, str, str, Tuple[int, ...], bool]
+#: domain indices, lite-telemetry flag, datapath build).  The workload
+#: objects are small parameter holders.
+ShardTask = Tuple[object, str, str, Tuple[int, ...], bool, str]
 
 
 def _run_shard(task: ShardTask) -> Dict[str, object]:
@@ -306,12 +401,12 @@ def _run_shard(task: ShardTask) -> Dict[str, object]:
     """
     from repro.sim.setups import setup_by_name
 
-    workload, setup_name, mode_label, domain_ids, lite = task
+    workload, setup_name, mode_label, domain_ids, lite, datapath = task
     setup = setup_by_name(setup_name)
     mode = Mode(mode_label)
     if not lite:
         return {
-            "payloads": workload.run_domains(setup, mode, domain_ids),
+            "payloads": workload.run_domains(setup, mode, domain_ids, datapath),
             "telemetry": None,
         }
     if not LITE.active:
@@ -322,7 +417,7 @@ def _run_shard(task: ShardTask) -> Dict[str, object]:
     states: List[Dict[str, object]] = []
     for domain in domain_ids:
         mark = LITE.mark()
-        payloads.extend(workload.run_domains(setup, mode, (domain,)))
+        payloads.extend(workload.run_domains(setup, mode, (domain,), datapath))
         states.append(LITE.capture_domain(mark, domain))
     return {"payloads": payloads, "telemetry": states}
 
@@ -331,23 +426,24 @@ def run_events(
     workload,
     setup: Setup,
     mode: Mode,
-    shards: Optional[int] = None,
+    shards: int = 1,
+    datapath: str = DEFAULT_BUILD,
 ) -> RunResult:
     """Run a workload on the event kernel, sharded when it applies.
 
-    With an applicable shard plan and no tracer attached, domains fan
-    out over a worker pool and the per-domain payloads merge in domain
-    order; otherwise a single event heap interleaves every actor in
-    modelled-time order in-process.  ``shards=None`` consults
-    ``REPRO_SHARDS``.
+    Every machine of the run is built for the ``datapath`` build.  With
+    an applicable shard plan for ``shards`` (``0`` = one per CPU) and no
+    tracer attached, domains fan out over a worker pool and the
+    per-domain payloads merge in domain order; otherwise a single event
+    heap interleaves every actor in modelled-time order in-process.
     """
-    plan = shard_plan(workload, resolve_shards(shards))
+    plan = shard_plan(workload, normalize_shards(shards))
     if plan is not None and len(plan) > 1 and not TRACE.active:
         from repro.sim.parallel import parallel_map
 
         lite = LITE.active
         tasks: List[ShardTask] = [
-            (workload, setup.name, mode.label, domain_ids, lite)
+            (workload, setup.name, mode.label, domain_ids, lite, datapath)
             for domain_ids in plan
         ]
         per_shard = parallel_map(_run_shard, tasks, max_workers=len(plan))
@@ -357,6 +453,6 @@ def run_events(
                 [state for shard in per_shard for state in shard["telemetry"] or []]
             )
         return workload.finalize_domains(payloads, setup, mode)
-    sim = EventSim(workload, setup, mode)
+    sim = EventSim(workload, setup, mode, datapath)
     sim.run()
     return sim.result()

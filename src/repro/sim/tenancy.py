@@ -54,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.config import DEFAULT_BUILD
 from repro.modes import Mode
 from repro.obs.metrics import Log2Histogram
 from repro.perf.calibration import IOTLB_MISS_CYCLES
@@ -439,20 +440,26 @@ class TenantScenario:
             machine_kwargs=kwargs,
         )
 
-    def _build_actor(self, domain: int, setup: Setup, mode: Mode) -> "TenantActor":
+    def _build_actor(
+        self, domain: int, setup: Setup, mode: Mode, datapath: str
+    ) -> "TenantActor":
         """One domain's actor: the tenant's workload actor, instrumented."""
         tenant = self.tenant_of(domain)
-        inner = self._sub_workload(tenant, setup, mode).build_actors(setup, mode)[0]
+        workload = self._sub_workload(tenant, setup, mode)
+        inner = workload.build_actors(setup, mode, datapath)[0]
         actor = TenantActor(inner, tenant, mode)
         actor.domain = domain
         return actor
 
     # -- event-kernel protocol ------------------------------------------
 
-    def build_actors(self, setup: Setup, mode: Mode) -> List["TenantActor"]:
+    def build_actors(
+        self, setup: Setup, mode: Mode, datapath: str = DEFAULT_BUILD
+    ) -> List["TenantActor"]:
         """One instrumented actor per global domain index."""
         return [
-            self._build_actor(domain, setup, mode) for domain in range(self.domains)
+            self._build_actor(domain, setup, mode, datapath)
+            for domain in range(self.domains)
         ]
 
     def finalize_events(
@@ -466,7 +473,11 @@ class TenantScenario:
     # -- sharding protocol ----------------------------------------------
 
     def run_domains(
-        self, setup: Setup, mode: Mode, domain_ids: Iterable[int]
+        self,
+        setup: Setup,
+        mode: Mode,
+        domain_ids: Iterable[int],
+        datapath: str = DEFAULT_BUILD,
     ) -> List[Dict[str, object]]:
         """Run the given domains to completion; returns their payloads.
 
@@ -479,7 +490,7 @@ class TenantScenario:
 
         payloads = []
         for domain in domain_ids:
-            actor = self._build_actor(domain, setup, mode)
+            actor = self._build_actor(domain, setup, mode, datapath)
             if LITE.active:
                 # Prime the monotonic clock like EventSim's heap seeding
                 # does, so burst records carry identical clock readings

@@ -232,12 +232,28 @@ def test_obs_validate_dispatches_ablation_schemas(
 # -- worker + CLI ----------------------------------------------------------
 
 
-def test_run_arm_restores_datapath_build():
-    from repro import datapath
+def test_run_arm_restores_datapath_build(monkeypatch):
+    """An arm's build reaches its machines by argument and leaves no
+    process state behind: later machines and the environment are as
+    they were."""
+    import os
 
-    before = datapath.current_build()
+    from repro.kernel.machine import Machine
+    from repro.modes import Mode
+
+    builds = []
+    init = Machine.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        builds.append(self.datapath)
+
+    monkeypatch.setattr(Machine, "__init__", spy)
+    environ = dict(os.environ)
     run_arm(ArmSpec(fast=True, datapath="scalar").to_dict())
-    assert datapath.current_build() == before
+    assert builds and set(builds) == {"scalar"}
+    assert dict(os.environ) == environ
+    assert Machine(Mode.STRICT).columnar
 
 
 def test_cli_exit_codes(tmp_path, capsys):

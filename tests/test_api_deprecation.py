@@ -1,10 +1,9 @@
-"""The repro.api facade, benchmark registry, and deprecation shims.
+"""The repro.api facade, benchmark registry, and the request protocol.
 
-Run with ``-W error::DeprecationWarning`` semantics: the module-level
-``filterwarnings`` marker turns any DeprecationWarning that is not
-explicitly expected into a failure, proving the new request-protocol
-paths (and everything the facade re-exports) are warning-clean while
-the legacy positional map/unmap spellings still work and still warn.
+The module-level ``filterwarnings`` marker turns any DeprecationWarning
+into a failure, proving the request-protocol paths (and everything the
+facade re-exports) are warning-clean.  The positional map/unmap
+spellings are gone; only ``map_request``/``unmap_request`` remain.
 """
 
 import pytest
@@ -81,40 +80,17 @@ def test_riommu_driver_requires_ring():
         )
 
 
-# -- legacy spellings still work, and warn ---------------------------------
+# -- the positional spellings are gone -------------------------------------
 
 
-def test_legacy_dma_api_map_unmap_warns_but_works():
-    machine = Machine(Mode.STRICT)
-    api = machine.dma_api(BDF)
-    phys = machine.mem.alloc_dma_buffer(4096)
-    with pytest.warns(DeprecationWarning, match="map_request"):
-        handle = api.map(phys, 1500, DmaDirection.FROM_DEVICE)
-    with pytest.warns(DeprecationWarning, match="unmap_request"):
-        assert api.unmap(handle) == phys
+def test_positional_map_unmap_spellings_are_gone():
+    from repro.core.driver import RIommuDriver
+    from repro.iommu.driver import BaselineIommuDriver
+    from repro.kernel.dma_api import DmaApi
 
-
-def test_legacy_iommu_driver_map_unmap_warns():
-    machine = Machine(Mode.STRICT)
-    machine.dma_api(BDF)
-    driver = machine.dma_api(BDF).driver
-    phys = machine.mem.alloc_dma_buffer(4096)
-    with pytest.warns(DeprecationWarning):
-        iova = driver.map(phys, 1500, DmaDirection.FROM_DEVICE)
-    with pytest.warns(DeprecationWarning):
-        driver.unmap(iova)
-
-
-def test_legacy_riommu_driver_map_unmap_warns():
-    machine = Machine(Mode.RIOMMU)
-    api = machine.dma_api(BDF)
-    ring = api.create_ring(8)
-    driver = api.driver
-    phys = machine.mem.alloc_dma_buffer(4096)
-    with pytest.warns(DeprecationWarning):
-        iova = driver.map(ring, phys, 1500, DmaDirection.FROM_DEVICE)
-    with pytest.warns(DeprecationWarning):
-        driver.unmap(iova, end_of_burst=True)
+    for cls in (DmaApi, BaselineIommuDriver, RIommuDriver):
+        assert not hasattr(cls, "map"), cls
+        assert not hasattr(cls, "unmap"), cls
 
 
 # -- the facade ------------------------------------------------------------

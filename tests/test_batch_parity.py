@@ -1,14 +1,14 @@
 """The scatter-gather batched datapath must be observably invisible.
 
-``repro.devices.dma`` gates the bulk translate/copy paths and
-``repro.perf.cycles`` gates the staged (counter-based) charge
-accumulator behind module-global ``BATCH_ENABLED`` flags (cleared
-under ``REPRO_DATAPATH=scalar``).  These tests run identical
-operation sequences with the flags on and off and assert that every
-observable — returned bytes, physical memory contents, DMA/IOTLB/
-translation statistics, cycle accounts (bit-for-bit), and faults,
-including *where* a fault lands — is unchanged.  The batch paths may
-only change wall-clock time, never a modelled number.
+The columnar build's DMA bus takes the bulk translate/copy paths and
+its cycle accounts stage (counter-based) charges; the scalar build does
+neither.  Each build is a property of the objects constructed for it,
+so these tests run identical operation sequences on a scalar and a
+columnar rig side by side and assert that every observable — returned
+bytes, physical memory contents, DMA/IOTLB/translation statistics,
+cycle accounts (bit-for-bit), and faults, including *where* a fault
+lands — is unchanged.  The batch paths may only change wall-clock
+time, never a modelled number.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import RunConfig
-import repro.devices.dma as dma_mod
-import repro.perf.cycles as cycles_mod
 from repro.devices.dma import DmaBus, IommuBackend
-from repro.dma import DmaDirection
+from repro.dma import DmaDirection, MapRequest, UnmapRequest
 from repro.faults import IoPageFault, TranslationFault
 from repro.iommu.driver import BaselineIommuDriver
 from repro.iommu.hardware import Iommu
+from repro.kernel.machine import Machine
 from repro.memory import MemorySystem, PAGE_SIZE
 from repro.modes import Mode
 from repro.sim.runner import run_benchmark
@@ -33,27 +32,28 @@ from repro.sim.setups import MLX_SETUP
 BDF = 0x0300
 
 
-def _set_batch(enabled: bool) -> None:
-    dma_mod.BATCH_ENABLED = enabled
-    cycles_mod.BATCH_ENABLED = enabled
+def _map(driver, phys, size, direction=DmaDirection.BIDIRECTIONAL):
+    return driver.map_request(
+        MapRequest(phys_addr=phys, size=size, direction=direction)
+    ).device_addr
 
 
-@pytest.fixture(autouse=True, scope="module")
-def restore_batch():
-    """Restore the batch flags however a test leaves them.
-
-    Module-scoped (not per-test) so hypothesis-driven tests can use it
-    without tripping the function-scoped-fixture health check; every
-    test here sets the flags explicitly before each arm anyway.
-    """
-    old = (dma_mod.BATCH_ENABLED, cycles_mod.BATCH_ENABLED)
-    yield
-    dma_mod.BATCH_ENABLED, cycles_mod.BATCH_ENABLED = old
+def _rig(columnar: bool):
+    """A strict baseline driver and its DMA bus, both of one build."""
+    mem = MemorySystem(size_bytes=1 << 24, columnar=columnar)
+    iommu = Iommu(mem)
+    driver = BaselineIommuDriver(mem, iommu, BDF, Mode.STRICT)
+    return mem, iommu, driver, DmaBus(mem, IommuBackend(iommu))
 
 
 def test_batch_flag_defaults_on():
-    assert dma_mod.BATCH_ENABLED
-    assert cycles_mod.BATCH_ENABLED
+    """A default machine is columnar all the way down: bus and accounts."""
+    machine = Machine(Mode.STRICT)
+    api = machine.dma_api(BDF)
+    assert machine.columnar and machine.bus.columnar and api.account.columnar
+    scalar = Machine(Mode.STRICT, datapath="scalar")
+    assert not scalar.bus.columnar
+    assert not scalar.dma_api(BDF).account.columnar
 
 
 # -- randomised burst layouts -------------------------------------------------
@@ -77,9 +77,9 @@ _ops = st.lists(
 )
 
 
-def _run_scenario(mode, buf_sizes, ops):
-    """One driver + bus rig runs a burst; returns every observable."""
-    mem = MemorySystem(size_bytes=1 << 24)
+def _run_scenario(mode, buf_sizes, ops, columnar):
+    """One driver + bus rig of one build runs a burst; returns every observable."""
+    mem = MemorySystem(size_bytes=1 << 24, columnar=columnar)
     iommu = Iommu(mem)
     driver = BaselineIommuDriver(mem, iommu, BDF, mode)
     bus = DmaBus(mem, IommuBackend(iommu))
@@ -89,7 +89,7 @@ def _run_scenario(mode, buf_sizes, ops):
         phys = mem.alloc_dma_buffer(size)
         fill = bytes((i * 37 + j) & 0xFF for j in range(size))
         mem.ram.write(phys, fill)
-        iova = driver.map(phys, size, DmaDirection.BIDIRECTIONAL)
+        iova = _map(driver, phys, size)
         mapped.append((iova, phys, size))
 
     outcomes = []
@@ -111,7 +111,9 @@ def _run_scenario(mode, buf_sizes, ops):
 
     # Unmap everything (exercises the staged unmap charges too).
     for i, (iova, _phys, _size) in enumerate(mapped):
-        driver.unmap(iova, end_of_burst=(i == len(mapped) - 1))
+        driver.unmap_request(
+            UnmapRequest(device_addr=iova, end_of_burst=(i == len(mapped) - 1))
+        )
 
     return {
         "outcomes": outcomes,
@@ -135,13 +137,11 @@ def test_random_bursts_identical(buf_sizes, ops):
 
     Bytes moved, physical memory touched, every statistic, and the
     cycle account must be bit-for-bit identical between the scalar and
-    batched arms, under both a strict and a deferred driver.
+    columnar builds, under both a strict and a deferred driver.
     """
     for mode in (Mode.STRICT, Mode.DEFER):
-        _set_batch(False)
-        scalar = _run_scenario(mode, buf_sizes, ops)
-        _set_batch(True)
-        batched = _run_scenario(mode, buf_sizes, ops)
+        scalar = _run_scenario(mode, buf_sizes, ops, columnar=False)
+        batched = _run_scenario(mode, buf_sizes, ops, columnar=True)
         assert scalar == batched
 
 
@@ -163,15 +163,11 @@ def test_fault_crossing_unmapped_hole_identical(size, overshoot, is_write):
     memory untouched by the faulting access.
     """
 
-    def run(enabled):
-        _set_batch(enabled)
-        mem = MemorySystem(size_bytes=1 << 24)
-        iommu = Iommu(mem)
-        driver = BaselineIommuDriver(mem, iommu, BDF, Mode.STRICT)
-        bus = DmaBus(mem, IommuBackend(iommu))
+    def run(columnar):
+        mem, iommu, driver, bus = _rig(columnar)
         phys = mem.alloc_dma_buffer(size)
         mem.ram.write(phys, bytes(j & 0xFF for j in range(size)))
-        iova = driver.map(phys, size, DmaDirection.BIDIRECTIONAL)
+        iova = _map(driver, phys, size)
         # From iova to the end of the last *mapped page*, plus overshoot.
         mapped_end = ((iova + size - 1) // PAGE_SIZE + 1) * PAGE_SIZE
         length = mapped_end - iova + overshoot
@@ -200,18 +196,14 @@ def test_partial_scatter_before_fault_identical():
     0..N-1 written and N.. untouched — in both arms.
     """
 
-    def run(enabled):
-        _set_batch(enabled)
-        mem = MemorySystem(size_bytes=1 << 24)
-        iommu = Iommu(mem)
-        driver = BaselineIommuDriver(mem, iommu, BDF, Mode.STRICT)
-        bus = DmaBus(mem, IommuBackend(iommu))
+    def run(columnar):
+        mem, _iommu, driver, bus = _rig(columnar)
         phys_a = mem.alloc_dma_buffer(PAGE_SIZE)
         phys_b = mem.alloc_dma_buffer(PAGE_SIZE)
         # Top-down allocator: iova_a is the topmost mapping, so running
         # off the end of *a* lands in guaranteed-unmapped space.
-        iova_a = driver.map(phys_a, PAGE_SIZE, DmaDirection.FROM_DEVICE)
-        iova_b = driver.map(phys_b, PAGE_SIZE, DmaDirection.FROM_DEVICE)
+        iova_a = _map(driver, phys_a, PAGE_SIZE, DmaDirection.FROM_DEVICE)
+        iova_b = _map(driver, phys_b, PAGE_SIZE, DmaDirection.FROM_DEVICE)
         parts = [
             (iova_b, b"\x11" * 100),
             (iova_a + PAGE_SIZE - 4, b"\x22" * 64),  # runs off the mapping
@@ -235,23 +227,18 @@ def test_partial_scatter_before_fault_identical():
 # -- whole-simulation parity --------------------------------------------------
 
 
-def _cell(mode, benchmark):
-    return run_benchmark(
-        MLX_SETUP, mode, benchmark, config=RunConfig(fast=True)).to_dict(
-    )
+def _cell(mode, benchmark, build):
+    config = RunConfig(fast=True, datapath=build)
+    return run_benchmark(MLX_SETUP, mode, benchmark, config=config).to_dict()
 
 
 @pytest.mark.parametrize("mode", [Mode.STRICT, Mode.DEFER, Mode.RIOMMU])
 @pytest.mark.parametrize("bench", ["stream", "rr"])
 def test_cell_results_identical_without_batch(mode, bench):
-    """Whole benchmark cells are identical with the batch paths off.
+    """Whole benchmark cells are identical under the scalar build.
 
     Covers the staged cycle accounting in both drivers (baseline and
     rIOMMU), the SG device datapaths (NIC gather/scatter), and the
     per-packet averages the figures are built from.
     """
-    _set_batch(False)
-    scalar = _cell(mode, bench)
-    _set_batch(True)
-    batched = _cell(mode, bench)
-    assert scalar == batched
+    assert _cell(mode, bench, "scalar") == _cell(mode, bench, "columnar")

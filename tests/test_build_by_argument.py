@@ -1,0 +1,177 @@
+"""The datapath build is an argument: RunConfig picks it, machines carry it.
+
+Each :class:`~repro.kernel.machine.Machine` takes its build at
+construction and every hot path reads it from an object it holds, so
+
+* ``RunConfig.datapath`` alone decides which build a run executes, and
+* a scalar and a columnar machine can run side by side in one process,
+  stepped alternately, and agree on every modelled number after every
+  step.
+"""
+
+import itertools
+
+import pytest
+
+import repro.iommu.page_table as page_table
+from repro.config import RunConfig
+from repro.core.driver import RIommuDriver
+from repro.devices.nic import SimulatedNic
+from repro.iommu.driver import BaselineIommuDriver
+from repro.kernel.machine import Machine
+from repro.kernel.net_driver import NetDriver
+from repro.memory import MemorySystem
+from repro.modes import Mode
+from repro.sim.netperf import NetperfRR, NetperfStream
+from repro.sim.runner import run_benchmark
+from repro.sim.scheduler import EventSim
+from repro.sim.setups import MLX_SETUP
+
+#: Methods only the columnar build ever enters.
+COLUMNAR_ONLY = (
+    (RIommuDriver, "_map_fast"),
+    (BaselineIommuDriver, "_map_fast"),
+    (SimulatedNic, "_process_tx_columnar"),
+    (SimulatedNic, "_deliver_frame_columnar"),
+)
+
+
+@pytest.fixture
+def columnar_calls(monkeypatch):
+    """Count calls into every columnar-only method."""
+    calls = []
+    for cls, name in COLUMNAR_ONLY:
+        original = getattr(cls, name)
+
+        def spy(self, *args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("mode", [Mode.STRICT, Mode.RIOMMU], ids=lambda m: m.label)
+def test_scalar_config_makes_no_columnar_call(columnar_calls, monkeypatch, mode):
+    monkeypatch.setenv("REPRO_DATAPATH", "columnar")
+    scalar = run_benchmark(
+        MLX_SETUP, mode, "rr", config=RunConfig(fast=True, datapath="scalar")
+    )
+    assert columnar_calls == []
+    columnar = run_benchmark(MLX_SETUP, mode, "rr", config=RunConfig(fast=True))
+    assert {"_map_fast", "_process_tx_columnar"} <= set(columnar_calls)
+    assert scalar.to_dict() == columnar.to_dict()
+
+
+def test_machine_refuses_an_unknown_build_or_a_memory_of_the_other():
+    with pytest.raises(ValueError, match="unknown datapath build"):
+        Machine(Mode.STRICT, datapath="vector")
+    with pytest.raises(ValueError, match="'scalar' datapath build"):
+        Machine(Mode.STRICT, mem=MemorySystem(), datapath="scalar")
+    machine = Machine(Mode.STRICT, mem=MemorySystem(columnar=False), datapath="scalar")
+    assert not machine.bus.columnar
+
+
+def _observables(sim):
+    """Every modelled number of a one-actor simulation but the IOTLB's.
+
+    The baseline IOTLB's hit/miss/eviction counters (and the page walks
+    they cause) are compared separately by
+    :func:`test_iotlb_statistics_agree_between_builds`.
+    """
+    actor = sim.actors[0]
+    machine, driver = actor.machine, actor.driver
+    hardware = {}
+    if machine.iommu is not None:
+        hardware["translations"] = machine.iommu.stats.translations
+        iotlb = machine.iommu.iotlb.stats
+        hardware["invalidations"] = (
+            iotlb.single_invalidations,
+            iotlb.global_invalidations,
+        )
+    if machine.riommu is not None:
+        hardware["riotlb"] = vars(machine.riommu.riotlb.stats).copy()
+    return {
+        "clock": actor.clock(),
+        "cycles": dict(driver.account.cycles),
+        "events": dict(driver.account.events),
+        "bus": vars(machine.bus.stats).copy(),
+        "nic": vars(driver.nic.stats).copy(),
+        "driver": vars(driver.stats).copy(),
+        "hardware": hardware,
+        "memory": {f: bytes(page) for f, page in machine.mem.ram._frames.items()},
+        "frames": sorted(machine.mem.allocator._allocated),
+    }
+
+
+def _iotlb(sim):
+    machine = sim.actors[0].machine
+    return vars(machine.iommu.stats).copy(), vars(machine.iommu.iotlb.stats).copy()
+
+
+WORKLOADS = {
+    "stream": lambda: NetperfStream(packets=96, warmup=32, pump_interval=16),
+    "rr": lambda: NetperfRR(transactions=24, warmup=8),
+}
+
+
+def _pair(monkeypatch, mode, workload):
+    """A scalar and a columnar simulation of ``workload`` under ``mode``."""
+
+    def build(datapath):
+        # Protection-domain ids come from a process-wide counter and are
+        # written into memory (QI descriptor tags), so each machine gets
+        # the same numbering a machine built first in a process would.
+        monkeypatch.setattr(page_table, "_domain_ids", itertools.count(1))
+        return EventSim(WORKLOADS[workload](), MLX_SETUP, mode, datapath)
+
+    return build("scalar"), build("columnar")
+
+
+def _lockstep(scalar, columnar, observe):
+    """Step both simulations alternately, checking ``observe`` after each."""
+    assert observe(scalar) == observe(columnar)
+    steps = 0
+    while not scalar.finished:
+        scalar.step()
+        columnar.step()
+        steps += 1
+        assert scalar.finished == columnar.finished
+        assert observe(scalar) == observe(columnar), f"step {steps}"
+    assert steps > 2
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize(
+    "mode", [Mode.STRICT, Mode.DEFER, Mode.RIOMMU], ids=lambda m: m.label
+)
+def test_scalar_and_columnar_machines_step_in_lockstep(monkeypatch, mode, workload):
+    scalar, columnar = _pair(monkeypatch, mode, workload)
+    assert not scalar.actors[0].machine.columnar
+    assert columnar.actors[0].machine.columnar
+    assert isinstance(scalar.actors[0].driver, NetDriver)
+    _lockstep(scalar, columnar, _observables)
+    assert scalar.result().to_dict() == columnar.result().to_dict()
+
+
+#: The columnar build's per-burst translation memo serves repeat pages
+#: without refreshing the IOTLB's LRU order, so under MTU streams a
+#: different entry is later evicted and the hit/miss/walk counters
+#: drift by one.  No cycle count depends on them.
+_MEMO_LRU = pytest.mark.xfail(
+    strict=True, reason="translation memo skips the IOTLB LRU refresh"
+)
+
+
+@pytest.mark.parametrize(
+    "mode, workload",
+    [
+        pytest.param(Mode.STRICT, "stream", marks=_MEMO_LRU),
+        pytest.param(Mode.DEFER, "stream", marks=_MEMO_LRU),
+        (Mode.STRICT, "rr"),
+        (Mode.DEFER, "rr"),
+    ],
+    ids=["strict-stream", "defer-stream", "strict-rr", "defer-rr"],
+)
+def test_iotlb_statistics_agree_between_builds(monkeypatch, mode, workload):
+    _lockstep(*_pair(monkeypatch, mode, workload), _iotlb)

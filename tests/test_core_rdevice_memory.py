@@ -8,6 +8,7 @@ from repro.dma import DmaDirection
 from repro.faults import ContextFault
 from repro.memory import CoherencyDomain, MemorySystem, StaleReadError
 from repro.modes import Mode
+from tests.dma_helpers import riommu_map
 
 BDF = 0x0300
 
@@ -60,7 +61,7 @@ def test_context_table_lookup_path(mem):
     driver = RIommuDriver(mem, hw, BDF, Mode.RIOMMU, coherency=coherency)
     rid = driver.create_ring(8)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(rid, phys, 100, DmaDirection.FROM_DEVICE)
+    iova = riommu_map(driver, rid, phys, 100, DmaDirection.FROM_DEVICE)
     assert hw.rtranslate(BDF, iova, DmaDirection.FROM_DEVICE) == phys
     with pytest.raises(ContextFault):
         hw.rtranslate(0x9999, iova, DmaDirection.FROM_DEVICE)
@@ -72,7 +73,7 @@ def test_context_detach_closes_lookup(mem):
     driver = RIommuDriver(mem, hw, BDF, Mode.RIOMMU, coherency=coherency)
     rid = driver.create_ring(4)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(rid, phys, 100, DmaDirection.FROM_DEVICE)
+    iova = riommu_map(driver, rid, phys, 100, DmaDirection.FROM_DEVICE)
     hw.detach_device(BDF)
     with pytest.raises(ContextFault):
         hw.rtranslate(BDF, iova, DmaDirection.FROM_DEVICE)
@@ -85,5 +86,5 @@ def test_standalone_hardware_still_works(mem):
     driver = RIommuDriver(mem, hw, BDF, Mode.RIOMMU)
     rid = driver.create_ring(4)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(rid, phys, 64, DmaDirection.FROM_DEVICE)
+    iova = riommu_map(driver, rid, phys, 64, DmaDirection.FROM_DEVICE)
     assert hw.rtranslate(BDF, iova, DmaDirection.FROM_DEVICE) == phys

@@ -13,6 +13,7 @@ from repro.faults import (
 )
 from repro.memory import MemorySystem
 from repro.modes import Mode
+from tests.dma_helpers import riommu_map, riommu_unmap
 
 BDF = 0x0300
 
@@ -29,7 +30,7 @@ def test_map_translate_roundtrip(setup):
     mem, hw, driver = setup
     rid = driver.create_ring(8)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(rid, phys, 1500, DmaDirection.FROM_DEVICE)
+    iova = riommu_map(driver, rid, phys, 1500, DmaDirection.FROM_DEVICE)
     assert hw.rtranslate(BDF, iova, DmaDirection.FROM_DEVICE) == phys
 
 
@@ -37,7 +38,7 @@ def test_fine_grained_offset(setup):
     mem, hw, driver = setup
     rid = driver.create_ring(8)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(rid, phys + 64, 1000, DmaDirection.FROM_DEVICE)
+    iova = riommu_map(driver, rid, phys + 64, 1000, DmaDirection.FROM_DEVICE)
     assert hw.rtranslate(BDF, iova.with_offset(999), DmaDirection.FROM_DEVICE) == phys + 64 + 999
 
 
@@ -45,7 +46,7 @@ def test_offset_beyond_size_faults(setup):
     mem, hw, driver = setup
     rid = driver.create_ring(8)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(rid, phys, 1000, DmaDirection.FROM_DEVICE)
+    iova = riommu_map(driver, rid, phys, 1000, DmaDirection.FROM_DEVICE)
     with pytest.raises(BoundsFault):
         hw.rtranslate(BDF, iova.with_offset(1000), DmaDirection.FROM_DEVICE)
 
@@ -58,9 +59,9 @@ def test_sub_page_protection(setup):
     mem, hw, driver = setup
     rid = driver.create_ring(8)
     page = mem.alloc_dma_buffer(4096)
-    a = driver.map(rid, page, 100, DmaDirection.FROM_DEVICE)
-    b = driver.map(rid, page + 2048, 100, DmaDirection.FROM_DEVICE)
-    driver.unmap(a, end_of_burst=True)
+    a = riommu_map(driver, rid, page, 100, DmaDirection.FROM_DEVICE)
+    b = riommu_map(driver, rid, page + 2048, 100, DmaDirection.FROM_DEVICE)
+    riommu_unmap(driver, a, end_of_burst=True)
     with pytest.raises(TranslationFault):
         hw.rtranslate(BDF, a, DmaDirection.FROM_DEVICE)
     # b still works, and cannot reach a's bytes (offset bound = 100).
@@ -73,7 +74,7 @@ def test_direction_enforced(setup):
     mem, hw, driver = setup
     rid = driver.create_ring(8)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(rid, phys, 100, DmaDirection.TO_DEVICE)
+    iova = riommu_map(driver, rid, phys, 100, DmaDirection.TO_DEVICE)
     with pytest.raises(PermissionFault):
         hw.rtranslate(BDF, iova, DmaDirection.FROM_DEVICE)
 
@@ -82,7 +83,7 @@ def test_bidirectional_permits_both(setup):
     mem, hw, driver = setup
     rid = driver.create_ring(8)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(rid, phys, 100, DmaDirection.BIDIRECTIONAL)
+    iova = riommu_map(driver, rid, phys, 100, DmaDirection.BIDIRECTIONAL)
     assert hw.rtranslate(BDF, iova, DmaDirection.TO_DEVICE) == phys
     assert hw.rtranslate(BDF, iova, DmaDirection.FROM_DEVICE) == phys
 
@@ -113,20 +114,20 @@ def test_ring_overflow(setup):
     mem, _hw, driver = setup
     rid = driver.create_ring(2)
     phys = mem.alloc_dma_buffer(4096)
-    driver.map(rid, phys, 10, DmaDirection.FROM_DEVICE)
-    driver.map(rid, phys, 10, DmaDirection.FROM_DEVICE)
+    riommu_map(driver, rid, phys, 10, DmaDirection.FROM_DEVICE)
+    riommu_map(driver, rid, phys, 10, DmaDirection.FROM_DEVICE)
     with pytest.raises(RingOverflowError):
-        driver.map(rid, phys, 10, DmaDirection.FROM_DEVICE)
+        riommu_map(driver, rid, phys, 10, DmaDirection.FROM_DEVICE)
 
 
 def test_overflow_clears_after_unmap(setup):
     mem, _hw, driver = setup
     rid = driver.create_ring(2)
     phys = mem.alloc_dma_buffer(4096)
-    a = driver.map(rid, phys, 10, DmaDirection.FROM_DEVICE)
-    driver.map(rid, phys, 10, DmaDirection.FROM_DEVICE)
-    driver.unmap(a, end_of_burst=True)
-    driver.map(rid, phys, 10, DmaDirection.FROM_DEVICE)  # no overflow now
+    a = riommu_map(driver, rid, phys, 10, DmaDirection.FROM_DEVICE)
+    riommu_map(driver, rid, phys, 10, DmaDirection.FROM_DEVICE)
+    riommu_unmap(driver, a, end_of_burst=True)
+    riommu_map(driver, rid, phys, 10, DmaDirection.FROM_DEVICE)  # no overflow now
 
 
 def test_tail_wraps_around(setup):
@@ -134,17 +135,20 @@ def test_tail_wraps_around(setup):
     rid = driver.create_ring(4)
     phys = mem.alloc_dma_buffer(4096)
     for cycle in range(10):
-        iova = driver.map(rid, phys, 10, DmaDirection.FROM_DEVICE)
+        iova = riommu_map(driver, rid, phys, 10, DmaDirection.FROM_DEVICE)
         assert iova.rentry == cycle % 4
         hw.rtranslate(BDF, iova, DmaDirection.FROM_DEVICE)
-        driver.unmap(iova, end_of_burst=True)
+        riommu_unmap(driver, iova, end_of_burst=True)
 
 
 def test_at_most_one_riotlb_entry_per_ring(setup):
     mem, hw, driver = setup
     rid = driver.create_ring(16)
     phys = mem.alloc_dma_buffer(4096)
-    iovas = [driver.map(rid, phys, 10, DmaDirection.FROM_DEVICE) for _ in range(8)]
+    iovas = [
+        riommu_map(driver, rid, phys, 10, DmaDirection.FROM_DEVICE)
+        for _ in range(8)
+    ]
     for iova in iovas:
         hw.rtranslate(BDF, iova, DmaDirection.FROM_DEVICE)
         assert hw.riotlb.entries_for_ring(BDF, rid) == 1
@@ -155,7 +159,10 @@ def test_sequential_access_uses_prefetch(setup):
     mem, hw, driver = setup
     rid = driver.create_ring(32)
     phys = mem.alloc_dma_buffer(4096)
-    iovas = [driver.map(rid, phys, 10, DmaDirection.FROM_DEVICE) for _ in range(16)]
+    iovas = [
+        riommu_map(driver, rid, phys, 10, DmaDirection.FROM_DEVICE)
+        for _ in range(16)
+    ]
     for iova in iovas:
         hw.rtranslate(BDF, iova, DmaDirection.FROM_DEVICE)
     stats = hw.riotlb.stats
@@ -169,7 +176,10 @@ def test_out_of_order_access_still_translates(setup):
     mem, hw, driver = setup
     rid = driver.create_ring(32)
     phys = mem.alloc_dma_buffer(4096)
-    iovas = [driver.map(rid, phys, 10, DmaDirection.FROM_DEVICE) for _ in range(8)]
+    iovas = [
+        riommu_map(driver, rid, phys, 10, DmaDirection.FROM_DEVICE)
+        for _ in range(8)
+    ]
     order = [3, 0, 7, 2, 5, 1, 6, 4]
     for i in order:
         assert hw.rtranslate(BDF, iovas[i], DmaDirection.FROM_DEVICE) == phys
@@ -180,11 +190,14 @@ def test_end_of_burst_invalidates(setup):
     mem, hw, driver = setup
     rid = driver.create_ring(8)
     phys = mem.alloc_dma_buffer(4096)
-    iovas = [driver.map(rid, phys, 10, DmaDirection.FROM_DEVICE) for _ in range(3)]
+    iovas = [
+        riommu_map(driver, rid, phys, 10, DmaDirection.FROM_DEVICE)
+        for _ in range(3)
+    ]
     for iova in iovas:
         hw.rtranslate(BDF, iova, DmaDirection.FROM_DEVICE)
     for i, iova in enumerate(iovas):
-        driver.unmap(iova, end_of_burst=(i == 2))
+        riommu_unmap(driver, iova, end_of_burst=(i == 2))
     assert hw.riotlb.stats.invalidations == 1
     assert len(hw.riotlb) == 0
     for iova in iovas:
@@ -196,16 +209,16 @@ def test_unmap_unknown_entry_raises(setup):
     _mem, _hw, driver = setup
     driver.create_ring(4)
     with pytest.raises(KeyError):
-        driver.unmap(RIova(0, 2, 0))
+        riommu_unmap(driver, RIova(0, 2, 0))
 
 
 def test_nmapped_tracks_live(setup):
     mem, _hw, driver = setup
     rid = driver.create_ring(8)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(rid, phys, 10, DmaDirection.FROM_DEVICE)
+    iova = riommu_map(driver, rid, phys, 10, DmaDirection.FROM_DEVICE)
     assert driver.nmapped(rid) == 1
-    driver.unmap(iova, end_of_burst=True)
+    riommu_unmap(driver, iova, end_of_burst=True)
     assert driver.nmapped(rid) == 0
 
 
@@ -214,9 +227,9 @@ def test_map_size_limits(setup):
     rid = driver.create_ring(4)
     phys = mem.alloc_dma_buffer(4096)
     with pytest.raises(ValueError):
-        driver.map(rid, phys, 0, DmaDirection.FROM_DEVICE)
+        riommu_map(driver, rid, phys, 0, DmaDirection.FROM_DEVICE)
     with pytest.raises(ValueError):
-        driver.map(rid, phys, 1 << 31, DmaDirection.FROM_DEVICE)
+        riommu_map(driver, rid, phys, 1 << 31, DmaDirection.FROM_DEVICE)
 
 
 def test_riommu_nc_mode_flushes_correctly():
@@ -227,10 +240,10 @@ def test_riommu_nc_mode_flushes_correctly():
     assert not driver.coherency.coherent
     rid = driver.create_ring(4)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(rid, phys, 100, DmaDirection.FROM_DEVICE)
+    iova = riommu_map(driver, rid, phys, 100, DmaDirection.FROM_DEVICE)
     # Hardware read enforces that the driver flushed the rPTE line.
     assert hw.rtranslate(BDF, iova, DmaDirection.FROM_DEVICE) == phys
-    driver.unmap(iova, end_of_burst=True)
+    riommu_unmap(driver, iova, end_of_burst=True)
     assert driver.coherency.stats.flushes >= 2  # map + unmap
 
 
@@ -244,7 +257,7 @@ def test_shutdown_detaches(setup):
     mem, hw, driver = setup
     rid = driver.create_ring(4)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(rid, phys, 100, DmaDirection.FROM_DEVICE)
+    iova = riommu_map(driver, rid, phys, 100, DmaDirection.FROM_DEVICE)
     driver.shutdown()
     with pytest.raises(ContextFault):
         hw.rtranslate(BDF, iova, DmaDirection.FROM_DEVICE)
@@ -256,8 +269,8 @@ def test_riommu_cost_charging(setup):
     mem, _hw, driver = setup
     rid = driver.create_ring(8)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(rid, phys, 100, DmaDirection.FROM_DEVICE)
+    iova = riommu_map(driver, rid, phys, 100, DmaDirection.FROM_DEVICE)
     map_cost = driver.account.map_total()
     assert 0 < map_cost < 500  # orders of magnitude below strict's 4,618
-    driver.unmap(iova, end_of_burst=True)
+    riommu_unmap(driver, iova, end_of_burst=True)
     assert driver.account.cycles[Component.IOTLB_INV] == pytest.approx(2150.0)

@@ -14,7 +14,6 @@ import copy
 
 import pytest
 
-from repro import datapath
 from repro.config import RunConfig
 from repro.analysis.diff import _run_live
 from repro.modes import ALL_MODES
@@ -25,18 +24,15 @@ from repro.sim.setups import MLX_SETUP
 
 
 @pytest.fixture(autouse=True)
-def _restore_default_build():
+def _reset_trace():
     TRACE.reset()
     yield
-    datapath.set_datapath(datapath.DEFAULT_BUILD)
     TRACE.reset()
 
 
 def _run(mode, build, observe):
-    datapath.set_datapath(build)
-    return run_benchmark(
-        MLX_SETUP, mode, "rr", config=RunConfig(fast=True, observe=observe)
-    )
+    config = RunConfig(fast=True, datapath=build, observe=observe)
+    return run_benchmark(MLX_SETUP, mode, "rr", config=config)
 
 
 # -- the matrix: every mode x both builds x observers on/off -------------
@@ -65,10 +61,8 @@ def test_parity_matrix(mode, observe):
 
 @pytest.mark.parametrize("mode", ALL_MODES, ids=[m.label for m in ALL_MODES])
 def test_columnar_build_reconciles_with_observers_on(mode):
-    datapath.set_datapath("columnar")
-    result = run_benchmark(
-        MLX_SETUP, mode, "stream", config=RunConfig(fast=True, observe=True)
-    )
+    config = RunConfig(fast=True, datapath="columnar", observe=True)
+    result = run_benchmark(MLX_SETUP, mode, "stream", config=config)
     profile = result.obs["profile"]
     assert profile["reconciles"] is True
     assert profile["reconcile_delta"] == 0.0
@@ -83,7 +77,6 @@ def test_columnar_build_reconciles_with_observers_on(mode):
 def test_perturbed_charge_localizes_exactly_under_columnar():
     """One +7.0-cycle perturbation in a columnar-build trace is pinned
     to the exact record and the exact Table 1 component."""
-    datapath.set_datapath("columnar")
     TRACE.reset()
     golden = _run_live("mlx/rr/strict", fast=True)
     TRACE.reset()

@@ -17,6 +17,7 @@ from repro.faults import BoundsFault, IoPageFault
 from repro.iommu import BaselineIommuDriver, Iommu, make_bdf
 from repro.memory import MemorySystem
 from repro.modes import Mode
+from tests.dma_helpers import dma_map, dma_unmap, riommu_map
 
 BDF = make_bdf(0, 4, 0)
 
@@ -115,10 +116,10 @@ def test_iommu_backend_translates_and_protects():
     driver = BaselineIommuDriver(mem, iommu, BDF, Mode.STRICT)
     bus = DmaBus(mem, IommuBackend(iommu))
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(phys, 4096, DmaDirection.BIDIRECTIONAL)
+    iova = dma_map(driver, phys, 4096, DmaDirection.BIDIRECTIONAL)
     bus.dma_write(BDF, iova, b"through the iommu")
     assert mem.ram.read(phys, 17) == b"through the iommu"
-    driver.unmap(iova)
+    dma_unmap(driver, iova)
     with pytest.raises(IoPageFault):
         bus.dma_read(BDF, iova, 4)
 
@@ -129,7 +130,7 @@ def test_iommu_backend_splits_page_crossing_access():
     driver = BaselineIommuDriver(mem, iommu, BDF, Mode.STRICT)
     bus = DmaBus(mem, IommuBackend(iommu))
     phys = mem.alloc_dma_buffer(2 * 4096)
-    iova = driver.map(phys, 2 * 4096, DmaDirection.BIDIRECTIONAL)
+    iova = dma_map(driver, phys, 2 * 4096, DmaDirection.BIDIRECTIONAL)
     data = bytes(range(200)) * 41  # 8200 > one page
     bus.dma_write(BDF, iova, data[:8192])
     assert mem.ram.read(phys, 8192) == data[:8192]
@@ -142,7 +143,7 @@ def test_riommu_backend_full_access_bounds_checked():
     rid = driver.create_ring(8)
     bus = DmaBus(mem, RIommuBackend(hw))
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(rid, phys, 128, DmaDirection.BIDIRECTIONAL)
+    iova = riommu_map(driver, rid, phys, 128, DmaDirection.BIDIRECTIONAL)
     bus.dma_write(BDF, iova.packed(), b"x" * 128)  # exactly fits
     with pytest.raises(BoundsFault):
         bus.dma_write(BDF, iova.packed(), b"x" * 129)  # one byte too many

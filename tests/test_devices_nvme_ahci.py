@@ -20,6 +20,7 @@ from repro.devices.ahci import AHCI_COMMAND_SLOTS, SECTOR_BYTES
 from repro.dma import DmaDirection
 from repro.memory import MemorySystem
 from repro.modes import Mode
+from tests.dma_helpers import riommu_map, riommu_unmap
 
 BDF = 0x0500
 
@@ -120,11 +121,19 @@ def test_nvme_through_riommu(mem):
     entries = 8
     sq_phys = mem.alloc_dma_buffer(entries * SQE_BYTES)
     cq_phys = mem.alloc_dma_buffer(entries * CQE_BYTES)
-    sq_iova = driver.map(
-        driver.create_ring(1), sq_phys, entries * SQE_BYTES, DmaDirection.BIDIRECTIONAL
+    sq_iova = riommu_map(
+        driver,
+        driver.create_ring(1),
+        sq_phys,
+        entries * SQE_BYTES,
+        DmaDirection.BIDIRECTIONAL,
     )
-    cq_iova = driver.map(
-        driver.create_ring(1), cq_phys, entries * CQE_BYTES, DmaDirection.BIDIRECTIONAL
+    cq_iova = riommu_map(
+        driver,
+        driver.create_ring(1),
+        cq_phys,
+        entries * CQE_BYTES,
+        DmaDirection.BIDIRECTIONAL,
     )
     qid = nvme.create_queue_pair(
         entries, sq_addr=sq_iova.packed(), cq_addr=cq_iova.packed()
@@ -133,11 +142,13 @@ def test_nvme_through_riommu(mem):
     data_rid = driver.create_ring(16)
     src = mem.alloc_dma_buffer(NVME_BLOCK_BYTES)
     mem.ram.write(src, b"ring protected")
-    iova = driver.map(data_rid, src, NVME_BLOCK_BYTES, DmaDirection.BIDIRECTIONAL)
+    iova = riommu_map(
+        driver, data_rid, src, NVME_BLOCK_BYTES, DmaDirection.BIDIRECTIONAL
+    )
     command = NvmeCommand(NvmeOpcode.WRITE, 1, lba=0, blocks=1, data_addr=iova.packed())
     mem.ram.write(sq_phys, command.encode())  # host writes the SQE
     nvme.ring_doorbell(qid, sq_tail=1)
-    driver.unmap(iova, end_of_burst=True)
+    riommu_unmap(driver, iova, end_of_burst=True)
     assert nvme.block(0)[:14] == b"ring protected"
     # The CQE landed in the host's completion ring, through the rIOMMU.
     from repro.devices.nvme import NvmeCompletion

@@ -22,7 +22,7 @@ from repro.modes import ALL_MODES, Mode
 from repro.obs.tracer import TRACE
 from repro.sim.multiring import MultiRingStream
 from repro.sim.registry import BENCHMARKS
-from repro.sim.runner import BENCHMARK_NAMES, run_benchmark
+from repro.sim.runner import BENCHMARK_NAMES, run_benchmark, run_prepared
 from repro.sim.scheduler import SHARDS_ENV, run_events
 from repro.sim.setups import MLX_SETUP
 
@@ -86,9 +86,14 @@ def test_mstream_sharding_is_invisible(mode):
 
 
 def test_mstream_shards_env_knob(monkeypatch):
+    """``REPRO_SHARDS`` reaches a run through ``RunConfig.from_env()``."""
     serial = run_events(MultiRingStream(**_MSTREAM), MLX_SETUP, Mode.STRICT)
     monkeypatch.setenv(SHARDS_ENV, "2")
-    sharded = run_events(MultiRingStream(**_MSTREAM), MLX_SETUP, Mode.STRICT)
+    config = RunConfig.from_env()
+    assert config.shards == 2
+    sharded = run_prepared(
+        MultiRingStream(**_MSTREAM), MLX_SETUP, Mode.STRICT, config
+    )
     assert sharded.to_dict() == serial.to_dict()
 
 

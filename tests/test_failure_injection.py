@@ -24,6 +24,7 @@ from repro.iova import IovaExhaustedError, LinuxIovaAllocator
 from repro.kernel import Machine, NetDriver
 from repro.memory import MemorySystem, StaleReadError
 from repro.modes import Mode
+from tests.dma_helpers import dma_map, dma_unmap, riommu_map
 
 BDF = 0x0300
 
@@ -116,11 +117,14 @@ def test_riommu_ring_pressure_is_backpressure_not_corruption():
     driver = RIommuDriver(mem, hw, BDF, Mode.RIOMMU)
     rid = driver.create_ring(4)
     phys = mem.alloc_dma_buffer(4096)
-    iovas = [driver.map(rid, phys, 64, DmaDirection.FROM_DEVICE) for _ in range(4)]
+    iovas = [
+        riommu_map(driver, rid, phys, 64, DmaDirection.FROM_DEVICE)
+        for _ in range(4)
+    ]
     from repro.core import RingOverflowError
 
     with pytest.raises(RingOverflowError):
-        driver.map(rid, phys, 64, DmaDirection.FROM_DEVICE)
+        riommu_map(driver, rid, phys, 64, DmaDirection.FROM_DEVICE)
     # Every pre-existing mapping still translates correctly.
     for iova in iovas:
         assert hw.rtranslate(BDF, iova, DmaDirection.FROM_DEVICE) == phys
@@ -138,7 +142,7 @@ def test_single_entry_iotlb_still_correct():
     for i in range(8):
         phys = mem.alloc_dma_buffer(4096)
         mem.ram.write(phys, bytes([i]) * 16)
-        buffers.append((driver.map(phys, 4096, DmaDirection.BIDIRECTIONAL), phys))
+        buffers.append((dma_map(driver, phys, 4096, DmaDirection.BIDIRECTIONAL), phys))
     for _round in range(3):
         for iova, phys in buffers:
             assert iommu.translate(BDF, iova, DmaDirection.TO_DEVICE) == phys
@@ -159,14 +163,14 @@ def test_nic_survives_fault_and_continues():
 
     # Sabotage the first posted descriptor's buffer, fault once ...
     _index, buffers = driver._rx_posted[0]
-    api.unmap(buffers[0].device_addr)
+    dma_unmap(api, buffers[0].device_addr)
     assert not nic.deliver_frame(b"b" * 800)
     assert len(resets) == 1
     # ... the head never advanced past the bad descriptor; re-arm it by
     # remapping a fresh buffer into the same descriptor (what a reset
     # handler would do), then traffic flows again.
     fresh = machine.mem.alloc_dma_buffer(4096)
-    handle = api.map(fresh, 1500, DmaDirection.FROM_DEVICE)
+    handle = dma_map(api, fresh, 1500, DmaDirection.FROM_DEVICE)
     repaired = Descriptor(segments=[(handle, 1500)], flags=FLAG_VALID)
     machine.mem.ram.write(driver.rx_ring.slot_phys(0), repaired.encode())
     assert nic.deliver_frame(b"recovered" * 10)

@@ -13,6 +13,7 @@ from repro.dma import DmaDirection
 from repro.faults import IoPageFault
 from repro.kernel import Machine, NetDriver
 from repro.modes import ALL_MODES, Mode
+from tests.dma_helpers import dma_map, dma_unmap
 
 BDF = 0x0300
 
@@ -38,9 +39,9 @@ def test_safe_modes_fault_immediately_after_burst_unmap(mode):
     api = machine.dma_api(BDF)
     ring = api.create_ring(8)
     phys = machine.mem.alloc_dma_buffer(4096)
-    handle = api.map(phys, 512, DmaDirection.BIDIRECTIONAL, ring=ring)
+    handle = dma_map(api, phys, 512, DmaDirection.BIDIRECTIONAL, ring=ring)
     machine.bus.dma_write(BDF, handle, b"legit")
-    api.unmap(handle, end_of_burst=True)
+    dma_unmap(api, handle, end_of_burst=True)
     with pytest.raises(IoPageFault):
         machine.bus.dma_write(BDF, handle, b"after unmap")
 
@@ -49,16 +50,16 @@ def test_deferred_mode_window_closes_at_flush():
     machine = Machine(Mode.DEFER, flush_threshold=4)
     api = machine.dma_api(BDF)
     phys = machine.mem.alloc_dma_buffer(4096)
-    handle = api.map(phys, 512, DmaDirection.BIDIRECTIONAL)
+    handle = dma_map(api, phys, 512, DmaDirection.BIDIRECTIONAL)
     machine.bus.dma_write(BDF, handle, b"warm the IOTLB")
-    api.unmap(handle)
+    dma_unmap(api, handle)
     # Window open: the device can still write through the stale entry.
     machine.bus.dma_write(BDF, handle, b"stale write")
     assert machine.mem.ram.read(phys, 11) == b"stale write"
     # Three more unmaps reach the threshold and flush the IOTLB.
     for _ in range(3):
         p = machine.mem.alloc_dma_buffer(4096)
-        api.unmap(api.map(p, 64, DmaDirection.FROM_DEVICE))
+        dma_unmap(api, dma_map(api, p, 64, DmaDirection.FROM_DEVICE))
     with pytest.raises(IoPageFault):
         machine.bus.dma_write(BDF, handle, b"window closed")
 
@@ -70,9 +71,9 @@ def test_baseline_page_granularity_weakness_vs_riommu():
     machine = Machine(Mode.STRICT)
     api = machine.dma_api(BDF)
     page = machine.mem.alloc_dma_buffer(4096)
-    a = api.map(page, 128, DmaDirection.BIDIRECTIONAL)
-    b = api.map(page + 2048, 128, DmaDirection.BIDIRECTIONAL)
-    api.unmap(a)
+    a = dma_map(api, page, 128, DmaDirection.BIDIRECTIONAL)
+    b = dma_map(api, page + 2048, 128, DmaDirection.BIDIRECTIONAL)
+    dma_unmap(api, a)
     # B's IOVA still maps the whole page, so A's bytes remain exposed.
     machine.bus.dma_write(BDF, (b & ~0xFFF) | 0, b"overwrites A")
     assert machine.mem.ram.read(page, 12) == b"overwrites A"
@@ -82,9 +83,9 @@ def test_baseline_page_granularity_weakness_vs_riommu():
     api2 = machine2.dma_api(BDF)
     ring = api2.create_ring(8)
     page2 = machine2.mem.alloc_dma_buffer(4096)
-    a2 = api2.map(page2, 128, DmaDirection.BIDIRECTIONAL, ring=ring)
-    b2 = api2.map(page2 + 2048, 128, DmaDirection.BIDIRECTIONAL, ring=ring)
-    api2.unmap(a2, end_of_burst=True)
+    a2 = dma_map(api2, page2, 128, DmaDirection.BIDIRECTIONAL, ring=ring)
+    b2 = dma_map(api2, page2 + 2048, 128, DmaDirection.BIDIRECTIONAL, ring=ring)
+    dma_unmap(api2, a2, end_of_burst=True)
     with pytest.raises(IoPageFault):
         machine2.bus.dma_write(BDF, b2 + 128, b"x")  # beyond B's bounds
 
@@ -127,7 +128,7 @@ def test_two_devices_are_isolated():
     api_a = machine.dma_api(0x0300)
     machine.dma_api(0x0400)
     phys = machine.mem.alloc_dma_buffer(4096)
-    iova = api_a.map(phys, 512, DmaDirection.BIDIRECTIONAL)
+    iova = dma_map(api_a, phys, 512, DmaDirection.BIDIRECTIONAL)
     machine.bus.dma_write(0x0300, iova, b"mine")
     with pytest.raises(IoPageFault):
         machine.bus.dma_write(0x0400, iova, b"not yours")
@@ -140,7 +141,7 @@ def test_riommu_devices_are_isolated():
     ring_a = api_a.create_ring(4)
     api_b.create_ring(4)
     phys = machine.mem.alloc_dma_buffer(4096)
-    handle = api_a.map(phys, 64, DmaDirection.BIDIRECTIONAL, ring=ring_a)
+    handle = dma_map(api_a, phys, 64, DmaDirection.BIDIRECTIONAL, ring=ring_a)
     machine.bus.dma_write(0x0300, handle, b"ok")
     with pytest.raises(IoPageFault):
         machine.bus.dma_write(0x0400, handle, b"cross-device")

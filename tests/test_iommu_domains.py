@@ -7,6 +7,7 @@ from repro.faults import IoPageFault
 from repro.iommu import BaselineIommuDriver, Iommu, RadixPageTable, make_bdf
 from repro.memory import CoherencyDomain, MemorySystem
 from repro.modes import Mode
+from tests.dma_helpers import dma_map, dma_unmap
 
 BDF_A = make_bdf(0, 3, 0)
 BDF_B = make_bdf(0, 4, 0)
@@ -32,7 +33,7 @@ def test_domain_ids_are_unique():
 def test_alias_device_shares_mappings(shared):
     mem, iommu, driver = shared
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(phys, 1024, DmaDirection.BIDIRECTIONAL)
+    iova = dma_map(driver, phys, 1024, DmaDirection.BIDIRECTIONAL)
     assert iommu.translate(BDF_A, iova, DmaDirection.FROM_DEVICE) == phys
     assert iommu.translate(BDF_B, iova, DmaDirection.FROM_DEVICE) == phys
 
@@ -40,7 +41,7 @@ def test_alias_device_shares_mappings(shared):
 def test_shared_domain_shares_iotlb_entries(shared):
     mem, iommu, driver = shared
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(phys, 1024, DmaDirection.BIDIRECTIONAL)
+    iova = dma_map(driver, phys, 1024, DmaDirection.BIDIRECTIONAL)
     iommu.translate(BDF_A, iova, DmaDirection.FROM_DEVICE)  # fills the cache
     walks_before = iommu.stats.walks
     iommu.translate(BDF_B, iova, DmaDirection.FROM_DEVICE)  # same domain tag
@@ -50,10 +51,10 @@ def test_shared_domain_shares_iotlb_entries(shared):
 def test_one_invalidation_covers_all_attached_devices(shared):
     mem, iommu, driver = shared
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(phys, 1024, DmaDirection.BIDIRECTIONAL)
+    iova = dma_map(driver, phys, 1024, DmaDirection.BIDIRECTIONAL)
     iommu.translate(BDF_A, iova, DmaDirection.FROM_DEVICE)
     iommu.translate(BDF_B, iova, DmaDirection.FROM_DEVICE)
-    driver.unmap(iova)  # strict: one domain-tagged invalidation
+    dma_unmap(driver, iova)  # strict: one domain-tagged invalidation
     for bdf in (BDF_A, BDF_B):
         with pytest.raises(IoPageFault):
             iommu.translate(bdf, iova, DmaDirection.FROM_DEVICE)
@@ -65,7 +66,7 @@ def test_separate_drivers_remain_isolated():
     driver_a = BaselineIommuDriver(mem, iommu, BDF_A, Mode.STRICT)
     BaselineIommuDriver(mem, iommu, BDF_B, Mode.STRICT)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver_a.map(phys, 1024, DmaDirection.BIDIRECTIONAL)
+    iova = dma_map(driver_a, phys, 1024, DmaDirection.BIDIRECTIONAL)
     iommu.translate(BDF_A, iova, DmaDirection.FROM_DEVICE)
     # B's own domain has no such mapping — and cannot ride A's cache.
     with pytest.raises(IoPageFault):
@@ -75,7 +76,7 @@ def test_separate_drivers_remain_isolated():
 def test_detach_of_alias_keeps_domain_usable(shared):
     mem, iommu, driver = shared
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(phys, 1024, DmaDirection.BIDIRECTIONAL)
+    iova = dma_map(driver, phys, 1024, DmaDirection.BIDIRECTIONAL)
     iommu.detach_device(BDF_B)
     # A still translates (the cache was flushed, so this re-walks).
     assert iommu.translate(BDF_A, iova, DmaDirection.FROM_DEVICE) == phys

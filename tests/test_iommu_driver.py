@@ -9,6 +9,7 @@ from repro.iova import IovaNotFoundError, LinuxIovaAllocator, MagazineIovaAlloca
 from repro.memory import MemorySystem
 from repro.modes import BASELINE_MODES, Mode
 from repro.perf import Component
+from tests.dma_helpers import dma_map, dma_unmap
 
 BDF = make_bdf(0, 3, 0)
 
@@ -24,7 +25,7 @@ def build(mode, flush_threshold=250):
 def test_map_translate_roundtrip(mode):
     mem, iommu, driver = build(mode)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(phys, 1500, DmaDirection.FROM_DEVICE)
+    iova = dma_map(driver, phys, 1500, DmaDirection.FROM_DEVICE)
     assert iommu.translate(BDF, iova, DmaDirection.FROM_DEVICE) == phys
 
 
@@ -32,8 +33,8 @@ def test_map_translate_roundtrip(mode):
 def test_unmap_returns_phys(mode):
     mem, _iommu, driver = build(mode)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(phys, 1500, DmaDirection.FROM_DEVICE)
-    assert driver.unmap(iova) == phys
+    iova = dma_map(driver, phys, 1500, DmaDirection.FROM_DEVICE)
+    assert dma_unmap(driver, iova) == phys
 
 
 def test_rejects_riommu_modes():
@@ -46,13 +47,13 @@ def test_rejects_riommu_modes():
 def test_map_rejects_nonpositive_size():
     _mem, _iommu, driver = build(Mode.STRICT)
     with pytest.raises(ValueError):
-        driver.map(0x4000, 0, DmaDirection.FROM_DEVICE)
+        dma_map(driver, 0x4000, 0, DmaDirection.FROM_DEVICE)
 
 
 def test_offset_within_page_preserved():
     mem, iommu, driver = build(Mode.STRICT)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(phys + 100, 200, DmaDirection.FROM_DEVICE)
+    iova = dma_map(driver, phys + 100, 200, DmaDirection.FROM_DEVICE)
     assert iova & 0xFFF == 100
     assert iommu.translate(BDF, iova + 5, DmaDirection.FROM_DEVICE) == phys + 105
 
@@ -60,7 +61,7 @@ def test_offset_within_page_preserved():
 def test_multi_page_buffer_mapped_contiguously():
     mem, iommu, driver = build(Mode.STRICT)
     phys = mem.alloc_dma_buffer(3 * 4096)
-    iova = driver.map(phys, 3 * 4096, DmaDirection.TO_DEVICE)
+    iova = dma_map(driver, phys, 3 * 4096, DmaDirection.TO_DEVICE)
     for off in (0, 4096, 2 * 4096 + 17):
         assert iommu.translate(BDF, iova + off, DmaDirection.TO_DEVICE) == phys + off
 
@@ -68,9 +69,9 @@ def test_multi_page_buffer_mapped_contiguously():
 def test_strict_unmap_faults_immediately():
     mem, iommu, driver = build(Mode.STRICT)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(phys, 1500, DmaDirection.FROM_DEVICE)
+    iova = dma_map(driver, phys, 1500, DmaDirection.FROM_DEVICE)
     iommu.translate(BDF, iova, DmaDirection.FROM_DEVICE)  # cache it
-    driver.unmap(iova)
+    dma_unmap(driver, iova)
     with pytest.raises(IoPageFault):
         iommu.translate(BDF, iova, DmaDirection.FROM_DEVICE)
 
@@ -78,15 +79,15 @@ def test_strict_unmap_faults_immediately():
 def test_defer_leaves_stale_window_until_flush():
     mem, iommu, driver = build(Mode.DEFER, flush_threshold=3)
     physes = [mem.alloc_dma_buffer(4096) for _ in range(3)]
-    iovas = [driver.map(p, 1500, DmaDirection.FROM_DEVICE) for p in physes]
+    iovas = [dma_map(driver, p, 1500, DmaDirection.FROM_DEVICE) for p in physes]
     for iova in iovas:
         iommu.translate(BDF, iova, DmaDirection.FROM_DEVICE)
-    driver.unmap(iovas[0])
+    dma_unmap(driver, iovas[0])
     # Stale IOTLB entry still translates: the vulnerability window.
     assert iommu.translate(BDF, iovas[0], DmaDirection.FROM_DEVICE) == physes[0]
     assert iommu.iotlb.stats.stale_hits >= 1
-    driver.unmap(iovas[1])
-    driver.unmap(iovas[2])  # third unmap hits the threshold -> global flush
+    dma_unmap(driver, iovas[1])
+    dma_unmap(driver, iovas[2])  # third unmap hits the threshold -> global flush
     assert driver.pending_invalidations() == 0
     with pytest.raises(IoPageFault):
         iommu.translate(BDF, iovas[0], DmaDirection.FROM_DEVICE)
@@ -96,15 +97,15 @@ def test_defer_vulnerability_window_is_bounded():
     _mem, _iommu, driver = build(Mode.DEFER, flush_threshold=5)
     for i in range(14):
         phys = driver.mem.alloc_dma_buffer(4096)
-        iova = driver.map(phys, 100, DmaDirection.FROM_DEVICE)
-        driver.unmap(iova)
+        iova = dma_map(driver, phys, 100, DmaDirection.FROM_DEVICE)
+        dma_unmap(driver, iova)
         assert driver.pending_invalidations() < 5
 
 
 def test_direction_enforced_via_translate():
     mem, iommu, driver = build(Mode.STRICT)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(phys, 1500, DmaDirection.TO_DEVICE)
+    iova = dma_map(driver, phys, 1500, DmaDirection.TO_DEVICE)
     with pytest.raises(PermissionFault):
         iommu.translate(BDF, iova, DmaDirection.FROM_DEVICE)
 
@@ -112,7 +113,7 @@ def test_direction_enforced_via_translate():
 def test_unmap_unknown_iova_raises():
     _mem, _iommu, driver = build(Mode.STRICT)
     with pytest.raises(IovaNotFoundError):
-        driver.unmap(0x123456000)
+        dma_unmap(driver, 0x123456000)
 
 
 def test_allocator_selected_by_mode():
@@ -128,8 +129,8 @@ def test_charges_match_table1_constants():
     for mode in BASELINE_MODES:
         mem, _iommu, driver = build(mode)
         phys = mem.alloc_dma_buffer(4096)
-        iova = driver.map(phys, 1500, DmaDirection.FROM_DEVICE)
-        driver.unmap(iova)
+        iova = dma_map(driver, phys, 1500, DmaDirection.FROM_DEVICE)
+        dma_unmap(driver, iova)
         assert driver.account.map_total() == pytest.approx(TABLE1_SUMS[mode]["map"])
         assert driver.account.unmap_total() == pytest.approx(TABLE1_SUMS[mode]["unmap"])
 
@@ -137,17 +138,17 @@ def test_charges_match_table1_constants():
 def test_live_mappings_tracking():
     mem, _iommu, driver = build(Mode.STRICT)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(phys, 100, DmaDirection.FROM_DEVICE)
+    iova = dma_map(driver, phys, 100, DmaDirection.FROM_DEVICE)
     assert driver.live_mappings() == 1
-    driver.unmap(iova)
+    dma_unmap(driver, iova)
     assert driver.live_mappings() == 0
 
 
 def test_shutdown_drains_and_detaches():
     mem, iommu, driver = build(Mode.DEFER, flush_threshold=100)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(phys, 100, DmaDirection.FROM_DEVICE)
-    driver.unmap(iova)
+    iova = dma_map(driver, phys, 100, DmaDirection.FROM_DEVICE)
+    dma_unmap(driver, iova)
     assert driver.pending_invalidations() == 1
     driver.shutdown()
     assert driver.pending_invalidations() == 0
@@ -158,9 +159,9 @@ def test_shutdown_drains_and_detaches():
 def test_iova_reuse_after_strict_unmap():
     mem, iommu, driver = build(Mode.STRICT)
     phys1 = mem.alloc_dma_buffer(4096)
-    iova1 = driver.map(phys1, 100, DmaDirection.FROM_DEVICE)
-    driver.unmap(iova1)
+    iova1 = dma_map(driver, phys1, 100, DmaDirection.FROM_DEVICE)
+    dma_unmap(driver, iova1)
     phys2 = mem.alloc_dma_buffer(4096)
-    iova2 = driver.map(phys2, 100, DmaDirection.FROM_DEVICE)
+    iova2 = dma_map(driver, phys2, 100, DmaDirection.FROM_DEVICE)
     assert iova2 == iova1  # top-down allocator reuses the freed address
     assert iommu.translate(BDF, iova2, DmaDirection.FROM_DEVICE) == phys2

@@ -15,6 +15,7 @@ from repro.iommu import (
 )
 from repro.memory import MemorySystem
 from repro.modes import Mode
+from tests.dma_helpers import dma_map, dma_unmap
 
 BDF = make_bdf(0, 3, 0)
 
@@ -110,9 +111,9 @@ def test_strict_driver_uses_qi_end_to_end():
     iommu = Iommu(mem)
     driver = BaselineIommuDriver(mem, iommu, BDF, Mode.STRICT)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(phys, 1024, DmaDirection.FROM_DEVICE)
+    iova = dma_map(driver, phys, 1024, DmaDirection.FROM_DEVICE)
     iommu.translate(BDF, iova, DmaDirection.FROM_DEVICE)
-    driver.unmap(iova)
+    dma_unmap(driver, iova)
     # The invalidation went through the memory-resident queue ...
     assert iommu.qi.stats.processed >= 2  # inv + wait
     assert iommu.qi.stats.waits_completed >= 1
@@ -127,6 +128,6 @@ def test_deferred_driver_flush_uses_qi():
     driver = BaselineIommuDriver(mem, iommu, BDF, Mode.DEFER, flush_threshold=2)
     for _ in range(2):
         phys = mem.alloc_dma_buffer(4096)
-        driver.unmap(driver.map(phys, 64, DmaDirection.FROM_DEVICE))
+        dma_unmap(driver, dma_map(driver, phys, 64, DmaDirection.FROM_DEVICE))
     assert iommu.qi.stats.waits_completed == 1  # one batched flush handshake
     assert iommu.iotlb.stats.global_invalidations == 1

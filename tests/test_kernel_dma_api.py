@@ -12,6 +12,7 @@ from repro.kernel import (
     RIommuDmaApi,
 )
 from repro.modes import ALL_MODES, Mode
+from tests.dma_helpers import dma_map, dma_unmap
 
 BDF = 0x0300
 
@@ -50,7 +51,7 @@ def test_machine_total_overhead_none_is_zero():
     machine = Machine(Mode.NONE)
     api = machine.dma_api(BDF)
     addr = machine.mem.alloc_dma_buffer(4096)
-    api.map(addr, 100, DmaDirection.FROM_DEVICE)
+    dma_map(api, addr, 100, DmaDirection.FROM_DEVICE)
     assert machine.total_overhead_cycles() == 0
 
 
@@ -61,16 +62,16 @@ def test_identity_api_returns_phys():
     machine = Machine(Mode.NONE)
     api = machine.dma_api(BDF)
     addr = machine.mem.alloc_dma_buffer(4096)
-    handle = api.map(addr, 100, DmaDirection.FROM_DEVICE)
+    handle = dma_map(api, addr, 100, DmaDirection.FROM_DEVICE)
     assert handle == addr
-    assert api.unmap(handle) == addr
+    assert dma_unmap(api, handle) == addr
     assert api.create_ring(8) is None
 
 
 def test_identity_api_rejects_bad_size():
     api = IdentityDmaApi()
     with pytest.raises(ValueError):
-        api.map(0x1000, 0, DmaDirection.FROM_DEVICE)
+        dma_map(api, 0x1000, 0, DmaDirection.FROM_DEVICE)
 
 
 @pytest.mark.parametrize("mode", [Mode.STRICT, Mode.DEFER_PLUS])
@@ -78,9 +79,9 @@ def test_baseline_api_roundtrip(mode):
     machine = Machine(mode)
     api = machine.dma_api(BDF)
     phys = machine.mem.alloc_dma_buffer(4096)
-    handle = api.map(phys, 1000, DmaDirection.BIDIRECTIONAL)
+    handle = dma_map(api, phys, 1000, DmaDirection.BIDIRECTIONAL)
     assert machine.bus.dma_read(BDF, handle, 4) == bytes(4)
-    assert api.unmap(handle) == phys
+    assert dma_unmap(api, handle) == phys
     assert api.overhead_cycles > 0
 
 
@@ -89,7 +90,7 @@ def test_riommu_api_requires_ring():
     api = machine.dma_api(BDF)
     phys = machine.mem.alloc_dma_buffer(4096)
     with pytest.raises(ValueError):
-        api.map(phys, 100, DmaDirection.FROM_DEVICE)
+        dma_map(api, phys, 100, DmaDirection.FROM_DEVICE)
 
 
 def test_riommu_api_roundtrip():
@@ -97,10 +98,10 @@ def test_riommu_api_roundtrip():
     api = machine.dma_api(BDF)
     rid = api.create_ring(8)
     phys = machine.mem.alloc_dma_buffer(4096)
-    handle = api.map(phys, 256, DmaDirection.BIDIRECTIONAL, ring=rid)
+    handle = dma_map(api, phys, 256, DmaDirection.BIDIRECTIONAL, ring=rid)
     machine.bus.dma_write(BDF, handle, b"through flat tables")
     assert machine.mem.ram.read(phys, 19) == b"through flat tables"
-    assert api.unmap(handle, end_of_burst=True) == phys
+    assert dma_unmap(api, handle, end_of_burst=True) == phys
     with pytest.raises(IoPageFault):
         machine.bus.dma_read(BDF, handle, 4)
 
@@ -110,16 +111,16 @@ def test_riommu_api_unmap_normalises_offset():
     api = machine.dma_api(BDF)
     rid = api.create_ring(8)
     phys = machine.mem.alloc_dma_buffer(4096)
-    handle = api.map(phys, 256, DmaDirection.FROM_DEVICE, ring=rid)
-    assert api.unmap(handle + 37, end_of_burst=True) == phys  # offset ignored
+    handle = dma_map(api, phys, 256, DmaDirection.FROM_DEVICE, ring=rid)
+    assert dma_unmap(api, handle + 37, end_of_burst=True) == phys  # offset ignored
 
 
 def test_machine_shutdown():
     machine = Machine(Mode.DEFER)
     api = machine.dma_api(BDF)
     phys = machine.mem.alloc_dma_buffer(4096)
-    handle = api.map(phys, 100, DmaDirection.FROM_DEVICE)
-    api.unmap(handle)
+    handle = dma_map(api, phys, 100, DmaDirection.FROM_DEVICE)
+    dma_unmap(api, handle)
     machine.shutdown()
     assert machine.total_overhead_cycles() == 0  # APIs dropped
 

@@ -25,6 +25,7 @@ from repro.kernel import (
 from repro.memory import MemorySystem
 from repro.modes import Mode
 from repro.perf import Component, CostModel, CostPolicy
+from tests.dma_helpers import dma_map, dma_unmap
 
 BDF = 0x0300
 
@@ -99,7 +100,7 @@ def test_nic_iopf_reported_not_raised_when_handler_set():
     # Sabotage: unmap one posted buffer behind the driver's back — the
     # buggy-driver scenario the IOMMU exists to catch.
     _index, buffers = driver._rx_posted[0]
-    api.unmap(buffers[0].device_addr)
+    dma_unmap(api, buffers[0].device_addr)
     assert not nic.deliver_frame(b"f" * 900)
     assert len(faults) == 1
     assert nic.stats.io_page_faults == 1
@@ -113,7 +114,7 @@ def test_nic_iopf_propagates_without_handler():
     driver = NetDriver(machine, nic, coalesce_threshold=4)
     driver.fill_rx()
     _index, buffers = driver._rx_posted[0]
-    api.unmap(buffers[0].device_addr)
+    dma_unmap(api, buffers[0].device_addr)
     with pytest.raises(IoPageFault):
         nic.deliver_frame(b"f" * 900)
 
@@ -233,5 +234,5 @@ def test_machine_passes_overrides_through():
     )
     api = machine.dma_api(BDF)
     phys = machine.mem.alloc_dma_buffer(4096)
-    api.map(phys, 100, DmaDirection.FROM_DEVICE)
+    dma_map(api, phys, 100, DmaDirection.FROM_DEVICE)
     assert api.account.cycles[Component.IOVA_ALLOC] == 20_000.0

@@ -20,7 +20,6 @@ from repro.sim.parallel import (
     resolve_jobs,
     run_cell,
     run_grid,
-    worker_env_probe,
 )
 from repro.sim.runner import BENCHMARK_NAMES, run_figure12
 from repro.sim.setups import ALL_SETUPS, MLX_SETUP
@@ -37,10 +36,11 @@ def test_resolve_jobs():
 
 
 def test_grid_cells_serial_nested_order():
-    cells = grid_cells(ALL_SETUPS, ("stream", "rr"), ALL_MODES, fast=True)
+    config = RunConfig(fast=True)
+    cells = grid_cells(ALL_SETUPS, ("stream", "rr"), ALL_MODES, config)
     assert len(cells) == len(ALL_SETUPS) * 2 * len(ALL_MODES)
     # Outer loop setups, then benchmarks, then modes — the serial order.
-    assert cells[0] == (ALL_SETUPS[0].name, "stream", ALL_MODES[0].label, True)
+    assert cells[0] == (ALL_SETUPS[0].name, "stream", ALL_MODES[0].label, config)
     assert cells[len(ALL_MODES)][1] == "rr"
     assert [c[2] for c in cells[: len(ALL_MODES)]] == [m.label for m in ALL_MODES]
 
@@ -85,7 +85,7 @@ def test_run_cell_matches_run_benchmark():
     from repro.sim.runner import run_benchmark
 
     direct = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", config=RunConfig(fast=True))
-    via_cell = run_cell(("mlx", "rr", "strict", True))
+    via_cell = run_cell(("mlx", "rr", "strict", RunConfig(fast=True)))
     assert direct.to_dict() == via_cell.to_dict()
 
 
@@ -95,7 +95,7 @@ def test_grid_parallel_identical_to_serial():
         setups=ALL_SETUPS,
         benchmarks=("rr",),
         modes=(Mode.NONE, Mode.STRICT, Mode.RIOMMU),
-        fast=True,
+        config=RunConfig(fast=True),
     )
     serial = run_grid(jobs=1, **kwargs)
     parallel = run_grid(jobs=4, **kwargs)
@@ -124,40 +124,60 @@ def test_run_figure12_jobs_parity_and_golden():
 
 
 def test_run_grid_defaults_cover_all_benchmarks():
-    cells = grid_cells(ALL_SETUPS, BENCHMARK_NAMES, ALL_MODES, fast=True)
+    cells = grid_cells(ALL_SETUPS, BENCHMARK_NAMES, ALL_MODES, RunConfig(fast=True))
     assert len(cells) == len(ALL_SETUPS) * len(BENCHMARK_NAMES) * len(ALL_MODES)
 
 
-def test_knob_env_exports_reach_worker_processes(monkeypatch):
-    """set_datapath/set_shards and REPRO_OBSERVE must be
-    visible inside ``run_grid``'s worker processes, not just the parent.
+def _log_call(log, original, name):
+    """Wrap ``original`` so every call appends ``name pid build`` to ``log``."""
 
-    The knobs work by exporting environment variables that fork (or
-    spawn) carries into the pool; this pins that contract with a real
-    pool, using the same ``parallel_map`` the grid runner uses.  On
-    hosts where no pool can be created, ``parallel_map`` degrades to
-    the in-process loop — the probe's PID tells us which happened, and
-    the env assertions must hold either way.
+    def spy(self, *args, **kwargs):
+        with open(log, "a") as handle:
+            build = getattr(self, "columnar", None)
+            handle.write(f"{name} {os.getpid()} {build}\n")
+        return original(self, *args, **kwargs)
+
+    return spy
+
+
+def test_workers_run_the_config_their_task_carries(monkeypatch, tmp_path):
+    """Pool workers build their machines from the RunConfig in their task.
+
+    ``REPRO_DATAPATH=columnar`` in the environment must not reach a grid
+    whose config asks for the scalar build: the spies (inherited by the
+    forked workers) log every transmit pass with the worker's PID and
+    the NIC's build, and the columnar-only Tx loop must never run.
     """
-    from repro import datapath
-    from repro.obs.profile import OBSERVE_ENV
-    from repro.sim import scheduler
+    import multiprocessing
 
-    names = (datapath.ENV_VAR, OBSERVE_ENV, scheduler.SHARDS_ENV)
-    # monkeypatch registers restores for every name before the sets.
-    for name in names:
-        monkeypatch.delenv(name, raising=False)
-    datapath.set_datapath("scalar")
-    scheduler.set_shards(3)
-    monkeypatch.setenv(OBSERVE_ENV, "1")
-    try:
-        probes = parallel_map(
-            worker_env_probe, [names, names, names, names], max_workers=4
+    from repro.devices.nic import SimulatedNic
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the spies reach worker processes only through fork")
+    log = tmp_path / "calls.log"
+    for name in ("process_tx", "_process_tx_columnar"):
+        monkeypatch.setattr(
+            SimulatedNic, name, _log_call(log, getattr(SimulatedNic, name), name)
         )
-    finally:
-        datapath.set_datapath(datapath.DEFAULT_BUILD)
-    for probe in probes:
-        assert probe[datapath.ENV_VAR] == "scalar"
-        assert probe[OBSERVE_ENV] == "1"
-        assert probe[scheduler.SHARDS_ENV] == "3"
-        assert probe["_pid"]
+    monkeypatch.setenv("REPRO_DATAPATH", "columnar")
+    config = RunConfig(fast=True, datapath="scalar")
+    grid = run_figure12(
+        setups=(MLX_SETUP,),
+        benchmarks=("rr",),
+        modes=(Mode.STRICT, Mode.RIOMMU),
+        jobs=2,
+        config=config,
+    )
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert calls, "no worker transmitted"
+    assert {name for name, _pid, _build in calls} == {"process_tx"}
+    assert {build for _name, _pid, build in calls} == {"False"}
+    assert str(os.getpid()) not in {pid for _name, pid, _build in calls}
+    reference = run_figure12(
+        setups=(MLX_SETUP,),
+        benchmarks=("rr",),
+        modes=(Mode.STRICT, Mode.RIOMMU),
+        jobs=1,
+        config=RunConfig(fast=True),
+    )
+    assert grid.to_dict() == reference.to_dict()

@@ -8,6 +8,7 @@ from repro.kernel import Machine
 from repro.memory import PAGE_SIZE
 from repro.modes import ALL_MODES, Mode
 from repro.perf import CLOCK_HZ, gbps_from_cycles
+from tests.dma_helpers import dma_map, dma_unmap
 
 BDF = 0x0300
 
@@ -28,13 +29,13 @@ def test_property_dma_write_lands_exactly(mode, offset, size, payload):
     api = machine.dma_api(BDF)
     ring = api.create_ring(8)
     buf = machine.mem.alloc_dma_buffer(offset + size)
-    handle = api.map(buf + offset, size, DmaDirection.FROM_DEVICE, ring=ring)
+    handle = dma_map(api, buf + offset, size, DmaDirection.FROM_DEVICE, ring=ring)
     machine.bus.dma_write(BDF, handle, payload)
     assert machine.mem.ram.read(buf + offset, len(payload)) == payload
     # Bytes before the mapping are untouched.
     if offset:
         assert machine.mem.ram.read(buf, min(offset, 16)) == bytes(min(offset, 16))
-    api.unmap(handle, end_of_burst=True)
+    dma_unmap(api, handle, end_of_burst=True)
 
 
 @settings(max_examples=20, deadline=None)
@@ -49,7 +50,7 @@ def test_property_mappings_never_alias(sizes):
     spans = []
     for size in sizes:
         phys = machine.mem.alloc_dma_buffer(size)
-        handle = api.map(phys, size, DmaDirection.BIDIRECTIONAL)
+        handle = dma_map(api, phys, size, DmaDirection.BIDIRECTIONAL)
         spans.append((handle, phys, size))
     for handle, phys, size in spans:
         # First and last byte translate back into this buffer.
@@ -83,10 +84,11 @@ def test_property_riommu_invals_equal_bursts(burst):
     rounds = 3
     for _ in range(rounds):
         handles = [
-            api.map(phys, 64, DmaDirection.FROM_DEVICE, ring=ring) for _ in range(burst)
+            dma_map(api, phys, 64, DmaDirection.FROM_DEVICE, ring=ring)
+            for _ in range(burst)
         ]
         for i, handle in enumerate(handles):
-            api.unmap(handle, end_of_burst=(i == burst - 1))
+            dma_unmap(api, handle, end_of_burst=(i == burst - 1))
     assert api.driver.invalidations == rounds
 
 

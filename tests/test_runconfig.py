@@ -1,14 +1,15 @@
-"""The unified RunConfig surface: round trips, the runner, worker parity.
+"""The unified RunConfig surface: parsing, the runner, worker parity.
 
 The contract: every run-shaping knob lives in one frozen ``RunConfig``;
-the environment is just its wire format (``from_env(to_env()) ==
-config``); the runner facade takes knobs only as ``config=``; and grid
-worker processes reconstruct the parent's config bit-identically from
-the exported environment.
+``from_env`` is the one reader of the ``REPRO_*`` variables; the runner
+facade takes knobs only as ``config=``; and grid worker processes get
+the parent's config bit-identically inside their task, never from the
+environment.
 """
 
 import os
-from dataclasses import FrozenInstanceError, replace
+import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -74,9 +75,7 @@ def test_observe_accepts_levels_and_legacy_bools():
 
 def test_observe_env_round_trips_every_level():
     for level in ("off", "lite", "full"):
-        config = RunConfig(observe=level)
-        assert config.to_env()[OBSERVE_ENV] == level
-        assert RunConfig.from_env(config.to_env()).observe == level
+        assert RunConfig.from_env({OBSERVE_ENV: level}) == RunConfig(observe=level)
     # The historical boolean wire values still parse.
     assert RunConfig.from_env({OBSERVE_ENV: "1"}).observe == "full"
     assert RunConfig.from_env({OBSERVE_ENV: "0"}).observe == "off"
@@ -91,10 +90,11 @@ def test_shards_normalize_at_construction():
     assert RunConfig(shards=-3).shards == per_cpu
 
 
-# -- env round trip ------------------------------------------------------
+# -- the environment and the task ----------------------------------------
 
 
-def test_to_env_from_env_round_trips_every_field():
+def test_config_pickles_with_every_field():
+    """The record a grid worker receives in its task is the parent's."""
     config = RunConfig(
         fast=True,
         datapath="scalar",
@@ -103,20 +103,9 @@ def test_to_env_from_env_round_trips_every_field():
         timeline_window=5000.0,
         tenancy=preset_scenario("critical"),
     )
-    rebuilt = RunConfig.from_env(config.to_env())
-    # fast rides in the work item, never the environment.
-    assert rebuilt == replace(config, fast=False)
-    assert rebuilt.tenancy == config.tenancy
+    rebuilt = pickle.loads(pickle.dumps(config))
+    assert rebuilt == config
     assert rebuilt.tenancy.slo_gated
-
-
-def test_to_env_omits_unset_optionals():
-    exported = RunConfig().to_env()
-    assert TIMELINE_WINDOW_ENV not in exported
-    assert TENANCY_ENV not in exported
-    assert exported[DATAPATH_ENV] == DEFAULT_BUILD
-    assert exported[SHARDS_ENV] == "1"
-    assert exported[OBSERVE_ENV] == "off"
 
 
 def test_from_env_reads_the_documented_variables():
@@ -131,22 +120,6 @@ def test_from_env_reads_the_documented_variables():
     assert config.shards == 3
     assert config.observe == "full"
     assert config.timeline_window == 250000.0
-
-
-def test_exported_sets_then_restores_the_environment():
-    os.environ[DATAPATH_ENV] = "scalar"
-    os.environ.pop(SHARDS_ENV, None)
-    config = RunConfig(
-        datapath="columnar", shards=2, tenancy=preset_scenario("balanced")
-    )
-    with config.exported():
-        assert os.environ[DATAPATH_ENV] == "columnar"
-        assert os.environ[SHARDS_ENV] == "2"
-        assert TENANCY_ENV in os.environ
-        assert RunConfig.from_env() == replace(config, fast=False)
-    assert os.environ[DATAPATH_ENV] == "scalar"
-    assert SHARDS_ENV not in os.environ
-    assert TENANCY_ENV not in os.environ
 
 
 def test_foreign_repro_variables_are_ignored():
@@ -191,11 +164,13 @@ def test_legacy_run_kwargs_are_gone():
         runner.run_figure12(engine="events")
 
 
-def test_worker_pool_reconstructs_an_identical_config():
-    """Every pool worker's from_env() equals the parent's exported config."""
-    from concurrent.futures import ProcessPoolExecutor
+def _echo(config):
+    return config
 
-    from repro.sim.parallel import worker_config_probe
+
+def test_worker_pool_reconstructs_an_identical_config():
+    """Every pool worker receives a config equal to the parent's."""
+    from concurrent.futures import ProcessPoolExecutor
 
     config = RunConfig(
         datapath="scalar",
@@ -203,11 +178,9 @@ def test_worker_pool_reconstructs_an_identical_config():
         observe=True,
         tenancy=preset_scenario("aggressor"),
     )
-    with config.exported():
-        try:
-            with ProcessPoolExecutor(max_workers=2) as pool:
-                probes = list(pool.map(worker_config_probe, range(4)))
-        except OSError:
-            pytest.skip("process pools unavailable on this host")
-    expected = replace(config, fast=False)
-    assert all(probe == expected for probe in probes)
+    try:
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            received = list(pool.map(_echo, [config] * 4))
+    except OSError:
+        pytest.skip("process pools unavailable on this host")
+    assert all(copy == config for copy in received)

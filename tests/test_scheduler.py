@@ -1,21 +1,23 @@
 """Unit tests for the event-scheduled simulation kernel.
 
 Covers the kernel's plain-data pieces in isolation: shard knob
-resolution, the monotonic cycle clock, the deterministic event heap,
+parsing, the monotonic cycle clock, the deterministic event heap,
 bounded EventSim runs, the round-robin shard planner, and the
-checkpoint guards (tracer refusal, schema and datapath-build
-validation).  The golden and shard parity matrix lives in
-``test_event_parity.py``; checkpoint/resume determinism in
-``test_checkpoint.py``.
+checkpoint guards (tracer refusal, the header checked before any
+unpickling, the restricted unpickler, datapath-build validation).  The
+golden and shard parity matrix lives in ``test_event_parity.py``;
+checkpoint/resume determinism in ``test_checkpoint.py``.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 
 import pytest
 
+from repro.config import RunConfig, normalize_shards
 from repro.modes import Mode
 from repro.obs.tracer import TRACE
 from repro.perf.cycles import Component, CycleAccount, MonotonicClock
@@ -24,13 +26,13 @@ from repro.sim.multiring import MultiRingStream
 from repro.sim.scheduler import (
     CHECKPOINT_SCHEMA,
     SHARDS_ENV,
+    CheckpointBuildError,
+    CheckpointError,
     EventScheduler,
     EventSim,
     load_checkpoint,
-    resolve_shards,
     run_events,
     save_checkpoint,
-    set_shards,
     shard_plan,
 )
 from repro.sim.setups import MLX_SETUP
@@ -47,21 +49,14 @@ def _clean_knobs(monkeypatch):
 # -- shard knob resolution -----------------------------------------------
 
 
-def test_resolve_shards_defaults_env_and_cpu(monkeypatch):
-    assert resolve_shards() == 1
-    assert resolve_shards(3) == 3
-    monkeypatch.setenv(SHARDS_ENV, "5")
-    assert resolve_shards() == 5
-    monkeypatch.setenv(SHARDS_ENV, "not-a-number")
-    assert resolve_shards() == 1
+def test_resolve_shards_defaults_env_and_cpu():
+    assert RunConfig.from_env({}).shards == 1
+    assert normalize_shards(3) == 3
+    assert RunConfig.from_env({SHARDS_ENV: "5"}).shards == 5
+    assert RunConfig.from_env({SHARDS_ENV: "not-a-number"}).shards == 1
     # 0 and negatives mean one shard per CPU.
-    assert resolve_shards(0) == (os.cpu_count() or 1)
-    assert resolve_shards(-2) == (os.cpu_count() or 1)
-
-
-def test_set_shards_exports_to_workers():
-    assert set_shards(4) == 4
-    assert os.environ[SHARDS_ENV] == "4"
+    assert normalize_shards(0) == (os.cpu_count() or 1)
+    assert normalize_shards(-2) == (os.cpu_count() or 1)
 
 
 # -- the monotonic cycle clock -------------------------------------------
@@ -213,17 +208,90 @@ def test_load_rejects_foreign_files(tmp_path):
 
 
 def test_load_rejects_datapath_build_mismatch(tmp_path):
-    from repro import datapath
+    sim = EventSim(_small_rr(), MLX_SETUP, Mode.STRICT, "scalar")
+    path = tmp_path / "ckpt.pkl"
+    save_checkpoint(sim, path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    fields = json.loads(header)
+    assert fields["schema"] == CHECKPOINT_SCHEMA
+    assert fields["datapath"] == "scalar"
+    fields["datapath"] = "columnar"
+    path.write_bytes(json.dumps(fields).encode() + b"\n" + payload)
+    with pytest.raises(CheckpointBuildError, match="datapath build"):
+        load_checkpoint(path)
 
+
+def test_checkpoint_resumes_under_the_build_its_machines_carry(tmp_path):
+    sim = EventSim(_small_rr(), MLX_SETUP, Mode.RIOMMU, "scalar")
+    sim.run(max_events=5)
+    path = tmp_path / "ckpt.pkl"
+    save_checkpoint(sim, path)
+    resumed = load_checkpoint(path)
+    assert resumed.datapath == "scalar"
+    assert not resumed.actors[0].machine.columnar
+    resumed.run()
+    reference = EventSim(_small_rr(), MLX_SETUP, Mode.RIOMMU)
+    reference.run()
+    assert resumed.result().to_dict() == reference.result().to_dict()
+
+
+def _line(fields) -> bytes:
+    return json.dumps(fields).encode() + b"\n"
+
+
+def _header() -> bytes:
+    return _line({"schema": CHECKPOINT_SCHEMA, "datapath": "columnar"})
+
+
+def _reduce_payload(module: str, name: str, arg: str) -> bytes:
+    """A protocol-4 pickle calling ``module.name(arg)`` when loaded."""
+    encoded = arg.encode()
+    return (
+        b"\x80\x04c" + f"{module}\n{name}\n".encode()
+        + b"\x8c" + bytes([len(encoded)]) + encoded
+        + b"\x85R."
+    )
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("posix", "mkdir"), ("os", "mkdir"), ("repro.config", "os.mkdir")],
+)
+def test_load_refuses_foreign_globals_without_running_them(tmp_path, module, name):
+    marker = tmp_path / "ran"
+    path = tmp_path / "evil.ckpt"
+    path.write_bytes(_header() + _reduce_payload(module, name, str(marker)))
+    with pytest.raises(CheckpointError, match="no simulation holds"):
+        load_checkpoint(path)
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        b"",
+        _header()[:20],  # truncated: no newline
+        b"\x80\x04\x95 not json\n",
+        _line({"schema": "someone/elses", "datapath": "columnar"}),
+        _line({"schema": CHECKPOINT_SCHEMA, "datapath": "vector"}),
+        b"[1, 2]\n",
+    ],
+    ids=["empty", "truncated", "binary", "foreign", "unknown-build", "not-object"],
+)
+def test_load_refuses_bad_headers_before_unpickling(tmp_path, head):
+    marker = tmp_path / "ran"
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(head + _reduce_payload("posix", "mkdir", str(marker)))
+    with pytest.raises(CheckpointError, match="checkpoint"):
+        load_checkpoint(path)
+    assert not marker.exists()
+
+
+def test_load_refuses_a_truncated_payload(tmp_path):
     sim = EventSim(_small_rr(), MLX_SETUP, Mode.STRICT)
     path = tmp_path / "ckpt.pkl"
     save_checkpoint(sim, path)
-    with open(path, "rb") as handle:
-        payload = pickle.load(handle)
-    assert payload["schema"] == CHECKPOINT_SCHEMA
-    assert payload["datapath"] == datapath.current_build()
-    payload["datapath"] = "some-other-build"
-    with open(path, "wb") as handle:
-        pickle.dump(payload, handle)
-    with pytest.raises(ValueError, match="datapath build"):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    with pytest.raises(CheckpointError, match="corrupt"):
         load_checkpoint(path)

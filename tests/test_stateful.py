@@ -24,6 +24,7 @@ from repro.faults import IoPageFault
 from repro.iommu import BaselineIommuDriver, Iommu
 from repro.memory import MemorySystem
 from repro.modes import Mode
+from tests.dma_helpers import dma_map, dma_unmap, riommu_map, riommu_unmap
 
 BDF = 0x0300
 RING_SIZE = 16
@@ -54,9 +55,9 @@ class RIommuMachine(RuleBasedStateMachine):
             # Full ring — or a live tail entry left by out-of-order
             # unmaps — must push back rather than overwrite.
             with pytest.raises(RingOverflowError):
-                self.driver.map(self.rid, self.phys, size, direction)
+                riommu_map(self.driver, self.rid, self.phys, size, direction)
             return
-        iova = self.driver.map(self.rid, self.phys, size, direction)
+        iova = riommu_map(self.driver, self.rid, self.phys, size, direction)
         assert iova.rentry not in self.live
         self.live[iova.rentry] = (iova, size, direction)
 
@@ -65,7 +66,7 @@ class RIommuMachine(RuleBasedStateMachine):
     def unmap_buffer(self, data, end_of_burst):
         rentry = data.draw(st.sampled_from(sorted(self.live)))
         iova, _size, _direction = self.live.pop(rentry)
-        assert self.driver.unmap(iova, end_of_burst=end_of_burst) == self.phys
+        assert riommu_unmap(self.driver, iova, end_of_burst=end_of_burst) == self.phys
 
     @precondition(lambda self: self.live)
     @rule(data=st.data(), offset_frac=st.floats(min_value=0, max_value=0.999))
@@ -130,7 +131,7 @@ class BaselineMachine(RuleBasedStateMachine):
             return
         size = pages * 4096
         phys = self.mem.alloc_dma_buffer(size)
-        iova = self.driver.map(phys, size, direction)
+        iova = dma_map(self.driver, phys, size, direction)
         self.live[iova] = (phys, size, direction)
 
     @precondition(lambda self: self.live)
@@ -138,7 +139,7 @@ class BaselineMachine(RuleBasedStateMachine):
     def unmap_buffer(self, data):
         iova = data.draw(st.sampled_from(sorted(self.live)))
         phys, size, _direction = self.live.pop(iova)
-        assert self.driver.unmap(iova) == phys
+        assert dma_unmap(self.driver, iova) == phys
         self.mem.free_dma_buffer(phys, size)
         self.unmapped.append(iova)
         if len(self.unmapped) > 8:
