@@ -8,8 +8,6 @@ live feature with a fixed bound:
 * the columnar build is >= 1.3x the scalar reference on the stream
   cells;
 * the lite telemetry tier costs <= 3% over ``observe=off``;
-* the 4-shard multi-ring run is >= 1.5x serial, on hosts with >= 4
-  cores;
 * the ``jobs=4`` grid is >= 2x serial, on hosts with >= 4 CPUs.
 
 Run them with::
@@ -40,11 +38,6 @@ STREAM_CELLS = (
     ("mlx", "stream", "riommu"),
     ("mlx", "stream", "none"),
 )
-
-#: N independent stream domains on one event heap: the cell sharding
-#: can split.
-SHARDING_CELL = ("mlx", "mstream", "strict")
-SHARDS = 4
 
 
 def best_of(fn, repeats: int) -> float:
@@ -106,22 +99,6 @@ def test_lite_overhead():
     overhead = lite_total / off_total - 1.0
     print(f"observe=lite overhead over observe=off: {overhead:+.1%}")
     assert overhead <= 0.03, f"observe=lite costs {overhead:+.1%} (bound 3%)"
-
-
-@pytest.mark.perf
-def test_shard_speedup():
-    """4 shards >= 1.5x serial on the full-size multi-ring cell."""
-    cores = os.cpu_count() or 1
-    if cores < SHARDS:
-        pytest.skip(
-            f"host has {cores} cores < {SHARDS} shards; a parallel "
-            f"speedup cannot be measured here"
-        )
-    serial = best_of(runner(SHARDING_CELL, fast=False, shards=1), 1)
-    sharded = best_of(runner(SHARDING_CELL, fast=False, shards=SHARDS), 1)
-    speedup = serial / sharded
-    print(f"{'/'.join(SHARDING_CELL)}: {SHARDS} shards {speedup:.2f}x serial")
-    assert speedup >= 1.5, f"{SHARDS}-shard speedup only {speedup:.2f}x (bound 1.5x)"
 
 
 @pytest.mark.perf

@@ -127,10 +127,9 @@ def run_tenants(
 ) -> TenancyResult:
     """Run the scenario under each mode on one setup.
 
-    ``config`` carries the shard/datapath knobs (default: the
+    ``config`` carries the datapath/observation knobs (default: the
     ambient environment via ``RunConfig.from_env()``); the scenario
-    itself rides in ``config.tenancy`` so grid workers and shard
-    workers reconstruct it from ``REPRO_TENANCY``.
+    itself rides in ``config.tenancy``.
     """
     if scenario is None:
         scenario = preset_scenario("balanced")

@@ -14,7 +14,7 @@ Quick start::
     for mode, r in results.items():
         print(mode.label, f"{r.gbps:.1f} Gbps")
 
-All run-shaping knobs (sizing, datapath build, shards, observation,
+All run-shaping knobs (sizing, datapath build, observation,
 timeline window, tenancy scenario) travel in one frozen
 :class:`~repro.config.RunConfig`, passed as ``config=`` (see
 ``repro.config``).
@@ -40,7 +40,7 @@ Observing a run (attribution + protection audit, no trace retention)::
     print(result.obs["profile"]["reconciles"])     # True — bit-exact
     print(result.obs["audit"]["stale_window_dmas"])  # > 0 under defer
 
-Lite telemetry (keeps the columnar build and shards active)::
+Lite telemetry (keeps the columnar build active)::
 
     from repro.api import MLX_SETUP, Mode, RunConfig, run_benchmark
 
@@ -141,7 +141,6 @@ from repro.sim.tenancy import (
     preset_scenario,
 )
 from repro.sim.scheduler import (
-    SHARDS_ENV,
     EventScheduler,
     EventSim,
     load_checkpoint,
@@ -189,8 +188,7 @@ __all__ = [
     "TenantScenario",
     "TenantSpec",
     "preset_scenario",
-    # event-scheduled kernel & sharding
-    "SHARDS_ENV",
+    # event-scheduled kernel
     "EventScheduler",
     "EventSim",
     "MultiRingStream",

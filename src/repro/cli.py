@@ -13,13 +13,7 @@ import sys
 import time
 from typing import Dict, Optional, Sequence
 
-from repro.config import (
-    BUILDS,
-    DATAPATH_ENV,
-    OBSERVE_ENV,
-    SHARDS_ENV,
-    normalize_shards,
-)
+from repro.config import BUILDS, DATAPATH_ENV, OBSERVE_ENV
 
 EXPERIMENTS: Dict[str, str] = {
     "table1": "E1: map/unmap cycle breakdown (paper Table 1)",
@@ -158,16 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-identical",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="intra-run shards for multi-domain workloads (mstream): "
-        "domains partition into N shards run on a worker pool; 0 = one "
-        "per CPU, default serial — results are identical for any value "
-        "(default: $REPRO_SHARDS)",
-    )
-    parser.add_argument(
         "-j",
         "--jobs",
         type=int,
@@ -182,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("off", "lite", "full"),
         default=None,
         help="telemetry tier (default: $REPRO_OBSERVE, else off) — lite "
-        "keeps the columnar datapath and sharded/grid parallelism "
+        "keeps the columnar datapath and grid parallelism "
         "active (burst-granular counters + flight recorder); full is "
         "the per-event trace bus, which forces scalar/serial",
     )
@@ -284,7 +268,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = build_parser().parse_args(raw)
 
-    # --datapath/--shards/--observe are exported once, here, before
+    # --datapath/--observe are exported once, here, before
     # anything runs: every entry point resolves its RunConfig through
     # RunConfig.from_env() and hands it down by argument.  --watch and
     # --telemetry only make sense with lite telemetry, so they imply it
@@ -296,8 +280,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.environ[OBSERVE_ENV] = observe
     if args.datapath is not None:
         os.environ[DATAPATH_ENV] = args.datapath
-    if args.shards is not None:
-        os.environ[SHARDS_ENV] = str(normalize_shards(args.shards))
     if args.watch is not None:
         from repro.obs.lite import LITE
 

@@ -3,9 +3,9 @@
 This module is the single source of truth for how a run is configured:
 
 * :class:`RunConfig` — a frozen, keyword-only record of every knob:
-  datapath build, intra-run shard count, per-run observation, timeline
-  window width, benchmark sizing (``fast``) and the multi-tenant
-  scenario (:mod:`repro.sim.tenancy`).
+  datapath build, per-run observation, timeline window width,
+  benchmark sizing (``fast``) and the multi-tenant scenario
+  (:mod:`repro.sim.tenancy`).
 * :meth:`RunConfig.from_env` — the one environment reader.  Every
   ``REPRO_*`` variable is parsed by the helpers defined here, so a
   knob's spelling and semantics live in exactly one place.
@@ -13,10 +13,10 @@ This module is the single source of truth for how a run is configured:
 Knobs travel by argument, never by process state: the runner facade
 (:func:`repro.sim.runner.run_benchmark` and friends) takes them as
 ``config=RunConfig(...)``, each :class:`~repro.kernel.machine.Machine`
-takes its datapath build at construction, and grid/shard worker
-processes receive the config (or the build) inside their task.  No
-library module writes ``os.environ``; only ``repro.cli.main`` exports
-its own flags, once, before it runs anything.
+takes its datapath build at construction, and grid worker processes
+receive the config inside their task.  No library module writes
+``os.environ``; only ``repro.cli.main`` exports its own flags, once,
+before it runs anything.
 
 This module sits below the rest of the package: it imports nothing
 from ``repro`` at module level (the tenancy parser imports lazily), so
@@ -42,14 +42,11 @@ DEFAULT_BUILD = "columnar"
 #: The one documented datapath selection knob.
 DATAPATH_ENV = "REPRO_DATAPATH"
 
-#: Intra-run shard count knob.
-SHARDS_ENV = "REPRO_SHARDS"
-
 #: Per-run observation knob.
 OBSERVE_ENV = "REPRO_OBSERVE"
 
 #: The recognised observation levels: nothing, the counters-first lite
-#: telemetry tier (keeps columnar/sharded execution), and the full
+#: telemetry tier (keeps the columnar build), and the full
 #: per-event trace-bus observer.
 OBSERVE_LEVELS: Tuple[str, ...] = ("off", "lite", "full")
 
@@ -62,7 +59,6 @@ TENANCY_ENV = "REPRO_TENANCY"
 #: Every canonical environment variable, in presentation order.
 ENV_VARS: Tuple[str, ...] = (
     DATAPATH_ENV,
-    SHARDS_ENV,
     OBSERVE_ENV,
     TIMELINE_WINDOW_ENV,
     TENANCY_ENV,
@@ -86,25 +82,6 @@ def datapath_from_env(env: Optional[Mapping[str, str]] = None) -> str:
     if env is None:
         env = os.environ
     return check_build(env.get(DATAPATH_ENV, DEFAULT_BUILD))
-
-
-def normalize_shards(shards: int) -> int:
-    """``0`` (and negatives) mean one shard per CPU; else taken literally."""
-    if shards <= 0:
-        return os.cpu_count() or 1
-    return int(shards)
-
-
-def shards_from_env(env: Optional[Mapping[str, str]] = None) -> int:
-    """The shard count an environment mapping selects (tolerant parse)."""
-    if env is None:
-        env = os.environ
-    raw = env.get(SHARDS_ENV, "")
-    try:
-        shards = int(raw) if raw else 1
-    except ValueError:
-        shards = 1
-    return normalize_shards(shards)
 
 
 def normalize_observe(observe) -> str:
@@ -189,11 +166,11 @@ class RunConfig:
 
     ``fast`` shrinks benchmark sizes.  ``datapath`` is the build every
     :class:`~repro.kernel.machine.Machine` of the run is constructed
-    with; ``shards``/``observe``/``timeline_window`` shape execution
-    and observation.  Those four also have a ``REPRO_*`` environment
-    spelling, read only by :meth:`from_env`.  ``tenancy`` carries an
-    optional :class:`~repro.sim.tenancy.ScenarioSpec` for the
-    multi-tenant benchmark.  The whole record rides inside each grid
+    with; ``observe``/``timeline_window`` shape observation.  Those
+    three also have a ``REPRO_*`` environment spelling, read only by
+    :meth:`from_env`.  ``tenancy`` carries an optional
+    :class:`~repro.sim.tenancy.ScenarioSpec` for the multi-tenant
+    benchmark.  The whole record rides inside each grid
     worker's task (:data:`~repro.sim.parallel.GridCell`).  All fields
     validate at construction, so a config built from a bad environment
     fails loudly at ``from_env`` time.
@@ -201,7 +178,6 @@ class RunConfig:
 
     fast: bool = False
     datapath: str = DEFAULT_BUILD
-    shards: int = 1
     observe: str = "off"
     timeline_window: Optional[float] = None
     tenancy: Optional[object] = None
@@ -211,7 +187,6 @@ class RunConfig:
         # ``RunConfig(observe=True)`` keeps meaning the full observer.
         object.__setattr__(self, "observe", normalize_observe(self.observe))
         check_build(self.datapath)
-        object.__setattr__(self, "shards", normalize_shards(self.shards))
         if self.timeline_window is not None and self.timeline_window <= 0:
             raise ValueError("timeline_window must be positive (or None)")
 
@@ -225,11 +200,19 @@ class RunConfig:
 
         The single resolve path every knob reader funnels through;
         keyword ``overrides`` replace individual fields after the
-        environment is read.
+        environment is read.  ``REPRO_SHARDS`` names a removed feature
+        (intra-run sharding), so a mapping that sets it is refused
+        rather than run serially without a word.
         """
+        if env is None:
+            env = os.environ
+        if "REPRO_SHARDS" in env:
+            raise ValueError(
+                "REPRO_SHARDS is retired: intra-run sharding was removed and "
+                "every run is one event heap in one process; unset it"
+            )
         config = cls(
             datapath=datapath_from_env(env),
-            shards=shards_from_env(env),
             observe=observe_from_env(env),
             timeline_window=timeline_window_from_env(env),
             tenancy=tenancy_from_env(env),

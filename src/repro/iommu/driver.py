@@ -110,7 +110,9 @@ class BaselineIommuDriver:
         else:
             self.allocator = LinuxIovaAllocator(limit_pfn)
 
-        self.page_table = RadixPageTable(mem, iommu.coherency)
+        self.page_table = RadixPageTable(
+            mem, iommu.coherency, iommu.allocate_domain_id()
+        )
         iommu.attach_device(bdf, self.page_table)
 
         if mode.deferred_invalidation:

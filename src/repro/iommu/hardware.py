@@ -64,8 +64,17 @@ class Iommu:
         #: optional hook called as (bdf, vpn) on every translation — used
         #: by the DMA-trace recorder for the §5.4 prefetcher study
         self.trace_hook = None
+        #: next VT-d domain identifier this unit hands out (DIDs are
+        #: 16-bit and scoped to one remapping unit; we just count)
+        self._next_domain_id = 1
 
     # -- OS side ------------------------------------------------------------
+
+    def allocate_domain_id(self) -> int:
+        """A fresh domain identifier for a page table on this unit."""
+        domain_id = self._next_domain_id
+        self._next_domain_id += 1
+        return domain_id
 
     def attach_device(self, bdf: int, page_table: RadixPageTable) -> None:
         """Associate ``bdf`` with a page table via the context tables."""

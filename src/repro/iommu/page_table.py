@@ -10,7 +10,6 @@ so a missing flush is *detected*, not just undercharged.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, Tuple
@@ -110,25 +109,26 @@ class WalkResult(tuple):
         )
 
 
-#: process-wide domain-ID allocator (VT-d DIDs are 16-bit; we just count)
-_domain_ids = itertools.count(1)
-
-
 class RadixPageTable:
     """A per-*domain* 4-level radix tree of IOVA=>PA translations.
 
     In VT-d terms this is a protection domain: one or more devices may
     be attached to the same table, and cached translations are tagged
     with the table's ``domain_id``, so an unmap's invalidation covers
-    every attached device at once.
+    every attached device at once.  Domain identifiers are scoped to
+    one remapping unit, so the :class:`~repro.iommu.hardware.Iommu`
+    whose IOTLB they tag hands them out
+    (:meth:`~repro.iommu.hardware.Iommu.allocate_domain_id`).
     """
 
-    def __init__(self, mem: MemorySystem, coherency: CoherencyDomain) -> None:
+    def __init__(
+        self, mem: MemorySystem, coherency: CoherencyDomain, domain_id: int
+    ) -> None:
         self.mem = mem
         self.coherency = coherency
         self.root_addr = self._alloc_table()
         #: VT-d domain identifier tagging this table's IOTLB entries
-        self.domain_id = next(_domain_ids)
+        self.domain_id = domain_id
         #: number of currently-present leaf mappings
         self.mapped_pages = 0
         #: resolved leaf-table addresses keyed by ``iova >> 21``.

@@ -8,10 +8,10 @@ into JSONL / Chrome ``trace_event`` / metrics-summary artefacts.
 Tracing is strictly observational — enabling it never changes a
 modelled number — and costs one attribute check per site when off.
 
-``LITE`` is the counters-first telemetry tier (see ISSUE 9): burst-
-granular counters, a flight recorder and a live run monitor that
-compose with the columnar datapath and sharded/grid parallelism
-instead of vetoing them — ``RunConfig(observe="lite")``.
+``LITE`` is the counters-first telemetry tier: burst-granular
+counters, a flight recorder and a live run monitor that compose with
+the columnar datapath and grid parallelism instead of vetoing them —
+``RunConfig(observe="lite")``.
 """
 
 from repro.obs.export import (

@@ -51,13 +51,14 @@ def _canonicalize_ids(
 ) -> List[Dict[str, object]]:
     """Rewrite process-local ids to first-appearance indices.
 
-    Cycle-account ids and VT-d domain ids both come from process-wide
-    counters, so the *same* run traced twice in one process carries
-    different raw ids.  Renumbering by order of first appearance keeps
-    real divergences (ids opening in a different order still differ)
-    while erasing the offset noise.  Domain ids appear as ``domain`` on
-    unmaps, ``tag`` on page/device invalidates, and ``operand1`` of
-    page/device ``qi_submit`` descriptors.
+    Cycle-account ids come from a process-wide counter, so the *same*
+    run traced twice in one process carries different raw ids.  VT-d
+    domain ids are numbered per IOMMU, but traces written while they
+    were process-wide carry offset ones, so both are renumbered by order
+    of first appearance: real divergences (ids opening in a different
+    order) still differ, offset noise is erased.  Domain ids appear as
+    ``domain`` on unmaps, ``tag`` on page/device invalidates, and
+    ``operand1`` of page/device ``qi_submit`` descriptors.
     """
     accts: Dict[object, int] = {}
     domains: Dict[object, int] = {}

@@ -1,11 +1,11 @@
 """Always-on lite telemetry: counters, flight recorder, live monitor.
 
 The full observability stack (PRs 3-5) rides the per-event trace bus,
-so switching it on forfeits the columnar fast builds and forces
-sharded/grid runs serial.  This module is the counters-first tier that
-composes with all of them: ``observe="lite"`` keeps
-``datapath=columnar`` and ``--shards``/``--jobs`` active, and costs a
-bounded per-*burst* hook instead of a per-*event* bus.
+so switching it on forfeits the columnar fast builds and forces grid
+runs serial.  This module is the counters-first tier that composes
+with both: ``observe="lite"`` keeps ``datapath=columnar`` and
+``--jobs`` active, and costs a bounded per-*burst* hook instead of a
+per-*event* bus.
 
 Three pieces, all reachable through the :data:`LITE` singleton:
 
@@ -27,13 +27,8 @@ Three pieces, all reachable through the :data:`LITE` singleton:
   wall-clock bursts/sec, ETA, per-tenant latency quantiles and SLO
   burn-rate from the merged ``Log2Histogram``\\ s) to stderr/JSONL.
 
-Shard/grid composition: shard workers capture each finished domain's
-telemetry as plain picklable state (:meth:`LiteTelemetry.
-capture_domain`); the parent absorbs the states and merges them in
-domain order, which equals the serial registration order — so sharded
-lite counters are bit-identical to serial ones.  Grid workers inherit
-``REPRO_OBSERVE=lite`` through the environment and return their own
-``result.telemetry``.
+Grid composition: grid workers inherit ``REPRO_OBSERVE=lite`` through
+the environment and return their own ``result.telemetry``.
 
 Import discipline: :mod:`repro.perf.cycles` and :mod:`repro.faults`
 call into :data:`LITE` from their hot paths, so this module imports
@@ -169,18 +164,13 @@ class LiteCounters:
 
     Mirrors :class:`~repro.obs.profile.CycleProfiler`'s reads
     (``total``/``by_primitive``/``by_layer``/``by_phase``/
-    ``event_counts``) over a list of fold states: live in-process
-    accounts in registration order, preceded by absorbed shard-worker
-    states in domain order — which is the same order a serial run
-    registers them in, so every merged number is bit-identical across
-    shard layouts.
+    ``event_counts``) over the fold states of the session's accounts,
+    in registration order.
     """
 
     def __init__(self) -> None:
         self._entries: List[_Entry] = []
         self._by_tid: Dict[int, _Entry] = {}
-        #: (domain, [fold state, ...]) absorbed from shard workers
-        self._absorbed: List[Tuple[int, List[Dict[str, object]]]] = []
 
     # -- registration hooks ---------------------------------------------
 
@@ -194,34 +184,11 @@ class LiteCounters:
         if entry is not None:
             entry.on_reset()
 
-    # -- shard plumbing --------------------------------------------------
-
-    def mark(self) -> int:
-        """Position marker for :meth:`cut_since` (shard workers)."""
-        return len(self._entries)
-
-    def cut_since(self, mark: int) -> List[Dict[str, object]]:
-        """Materialize and remove every fold registered since ``mark``."""
-        cut = self._entries[mark:]
-        del self._entries[mark:]
-        states = []
-        for entry in cut:
-            self._by_tid.pop(entry.account.trace_id, None)
-            state = entry.state()
-            if state is not None:
-                states.append(state)
-        return states
-
-    def absorb(self, domain: int, states: List[Dict[str, object]]) -> None:
-        self._absorbed.append((domain, list(states)))
-
     # -- reads -----------------------------------------------------------
 
     def folds(self) -> List[Dict[str, object]]:
-        """All fold states: absorbed (domain order) then live."""
+        """Every account's fold state, in registration order."""
         out: List[Dict[str, object]] = []
-        for _, states in sorted(self._absorbed, key=lambda item: item[0]):
-            out.extend(states)
         for entry in self._entries:
             state = entry.state()
             if state is not None:
@@ -275,9 +242,9 @@ class FlightRecorder:
     Every burst appends one record ``[index, clock, phase]`` to the
     domain's ``recent`` ring; every ``stride``-th burst is additionally
     kept in the domain's ``samples`` ring.  Indices and clocks are
-    modelled quantities, so the rings are deterministic for any shard
-    layout.  :meth:`capture` freezes the current ``recent`` rings —
-    the last N bursts preceding a fault or SLO breach.
+    modelled quantities, so the rings are deterministic.
+    :meth:`capture` freezes the current ``recent`` rings — the last N
+    bursts preceding a fault or SLO breach.
     """
 
     MAX_CAPTURES = 8
@@ -289,8 +256,6 @@ class FlightRecorder:
         #: domain -> {"count", "recent", "samples"}
         self._domains: Dict[int, Dict[str, object]] = {}
         self.faults: List[Dict[str, object]] = []
-        #: absorbed shard-worker domain states (plain lists)
-        self._absorbed: Dict[int, Dict[str, object]] = {}
 
     def record(self, actor, clock: float) -> int:
         domain = actor.domain
@@ -324,21 +289,6 @@ class FlightRecorder:
             }
         )
 
-    # -- shard plumbing --------------------------------------------------
-
-    def cut_domain(self, domain: int) -> Dict[str, object]:
-        state = self._domains.pop(domain, None)
-        if state is None:
-            return {"count": 0, "recent": [], "samples": []}
-        return {
-            "count": state["count"],
-            "recent": list(state["recent"]),
-            "samples": list(state["samples"]),
-        }
-
-    def absorb(self, domain: int, state: Dict[str, object]) -> None:
-        self._absorbed[domain] = state
-
     def restore_domain(self, domain: int, state: Dict[str, object]) -> None:
         """Re-seed a domain's live rings (checkpoint resume): indices
         and ring contents continue where the checkpoint left them."""
@@ -351,14 +301,14 @@ class FlightRecorder:
     # -- reads -----------------------------------------------------------
 
     def _merged(self) -> Dict[int, Dict[str, object]]:
-        merged = dict(self._absorbed)
-        for domain, state in self._domains.items():
-            merged[domain] = {
+        return {
+            domain: {
                 "count": state["count"],
                 "recent": list(state["recent"]),
                 "samples": list(state["samples"]),
             }
-        return dict(sorted(merged.items()))
+            for domain, state in sorted(self._domains.items())
+        }
 
     def bursts(self) -> int:
         return sum(state["count"] for state in self._merged().values())
@@ -523,8 +473,7 @@ def slo_burn_rate(hist: Log2Histogram, threshold: float) -> float:
     Walks the log2 buckets like ``Log2Histogram.percentile`` in
     reverse: buckets wholly above the threshold count in full, the
     bucket containing it contributes the fraction of its geometric
-    span above the threshold.  Deterministic in the merged counts, so
-    identical for any shard layout.
+    span above the threshold.  Deterministic in the merged counts.
     """
     if hist.count == 0 or threshold <= 0:
         return 0.0
@@ -558,7 +507,6 @@ class LiteTelemetry:
         self.clock_hz: Optional[float] = None
         #: domain -> machine-gauge snapshot captured at domain end
         self._gauges: Dict[int, Dict[str, object]] = {}
-        self._absorbed_gauges: Dict[int, Dict[str, object]] = {}
         #: CLI-configured monitor kwargs (``repro tenants --watch``);
         #: consulted by :meth:`start` when no monitor is passed.
         self.monitor_defaults: Optional[Dict[str, object]] = None
@@ -589,7 +537,6 @@ class LiteTelemetry:
             monitor.recorder = self.recorder
         self.clock_hz = clock_hz
         self._gauges = {}
-        self._absorbed_gauges = {}
         self.active = True
 
     def stop(self) -> None:
@@ -599,7 +546,6 @@ class LiteTelemetry:
         self.monitor = None
         self.clock_hz = None
         self._gauges = {}
-        self._absorbed_gauges = {}
 
     # -- hot-path hooks --------------------------------------------------
 
@@ -612,10 +558,10 @@ class LiteTelemetry:
         self.counters.on_reset(account)
 
     def on_burst(self, actor, alive: bool, clock: Optional[float] = None) -> None:
-        """One actor burst completed (event kernel / shard loops).
+        """One actor burst completed.
 
         The event kernel passes the clock it just computed for heap
-        re-posting; loop-path callers leave it None and pay the read.
+        re-posting; other callers leave it None and pay the read.
         """
         if clock is None:
             clock = actor.clock()
@@ -640,37 +586,10 @@ class LiteTelemetry:
         self._gauges[actor.domain] = collect_machine_metrics(machine)
 
     def _merged_gauges(self) -> Dict[str, object]:
-        gauges = dict(self._gauges)
-        gauges.update(self._absorbed_gauges)
+        gauges = self._gauges
         if not gauges:
             return {}
-        snapshots = [gauges[domain] for domain in sorted(gauges)]
-        return MetricsRegistry.merge(snapshots)
-
-    # -- shard plumbing --------------------------------------------------
-
-    def mark(self) -> int:
-        """Marker before running one shard domain (worker side)."""
-        return self.counters.mark()
-
-    def capture_domain(self, mark: int, domain: int) -> Dict[str, object]:
-        """Cut one finished domain's telemetry as picklable state."""
-        gauges = self._gauges.pop(domain, None)
-        return {
-            "domain": domain,
-            "folds": self.counters.cut_since(mark),
-            "recorder": self.recorder.cut_domain(domain),
-            "gauges": gauges,
-        }
-
-    def absorb(self, states: List[Dict[str, object]]) -> None:
-        """Merge shard workers' captured domain states (parent side)."""
-        for state in states:
-            domain = state["domain"]
-            self.counters.absorb(domain, state["folds"])
-            self.recorder.absorb(domain, state["recorder"])
-            if state.get("gauges") is not None:
-                self._absorbed_gauges[domain] = state["gauges"]
+        return MetricsRegistry.merge([gauges[domain] for domain in sorted(gauges)])
 
     # -- checkpointing ---------------------------------------------------
 

@@ -2,20 +2,13 @@
 
 The paper's motivating scenario is a host serving *many* rings at once
 — each assigned to its own protection domain, each with its own rRINGs
-and rIOTLB entries — and the event kernel exists precisely so such a
-run can interleave domains in modelled-time order and spread them over
-cores.  This workload models the simplest honest version of that: ``N``
-identical netperf-stream senders, each with its own machine, NIC and
-driver (domains share *no* state, like tenants on an SR-IOV device).
-
-Because the domains are fully independent, the workload supports
-**intra-run sharding**: the scheduler partitions domains into shards
-that advance with no synchronization between burst boundaries, executed
-serially (one event heap interleaving every domain — the deterministic
-reference) or on a worker pool.  Both paths produce the same per-domain
-payloads and finalize through :meth:`MultiRingStream.finalize_domains`,
-which folds payloads in domain order — so the sharded result is
-bit-identical to the serial one by construction, not by luck.
+and rIOTLB entries — and the event kernel interleaves such domains in
+modelled-time order on one heap.  This workload models the simplest
+honest version of that: ``N`` identical netperf-stream senders, each
+with its own machine, NIC and driver (domains share *no* state, like
+tenants on an SR-IOV device).  Once the heap drains,
+:meth:`MultiRingStream.finalize_domains` folds the per-domain payloads
+in domain order.
 
 Registered as ``mstream`` with ``figure12=False``: it is a scaling
 benchmark for the simulator itself, not a cell of the paper's Figure 12
@@ -25,7 +18,7 @@ grid, so the golden figure-12 JSON never sees it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from repro.config import DEFAULT_BUILD
 from repro.modes import Mode
@@ -75,57 +68,19 @@ class MultiRingStream:
     def finalize_events(
         self, actors: List[StreamActor], setup: Setup, mode: Mode
     ) -> RunResult:
-        """Merge completed actors' payloads (serial event-kernel path)."""
+        """Merge completed actors' payloads."""
         return self.finalize_domains(
             [_actor_payload(actor) for actor in actors], setup, mode
         )
-
-    # -- sharding protocol ----------------------------------------------
-
-    def run_domains(
-        self,
-        setup: Setup,
-        mode: Mode,
-        domain_ids: Iterable[int],
-        datapath: str = DEFAULT_BUILD,
-    ) -> List[Dict[str, object]]:
-        """Run the given domains to completion; returns their payloads.
-
-        The shard-worker entry point: each domain still advances burst
-        by burst through its actor, exactly as it would on the shared
-        event heap — domains are independent, so the interleaving (or
-        its absence) cannot change any modelled number.
-        """
-        from repro.obs.lite import LITE
-
-        payloads = []
-        for domain in domain_ids:
-            actor = StreamActor(self._domain_stream(), setup, mode, datapath)
-            actor.domain = domain
-            if LITE.active:
-                # Prime the monotonic clock like EventSim's heap seeding
-                # does, so burst records carry identical clock readings
-                # on the serial and sharded paths.
-                actor.clock()
-                alive = True
-                while alive:
-                    alive = actor.step()
-                    LITE.on_burst(actor, alive)
-            else:
-                while actor.step():
-                    pass
-            payloads.append(_actor_payload(actor))
-        return payloads
 
     def finalize_domains(
         self, payloads: List[Dict[str, object]], setup: Setup, mode: Mode
     ) -> RunResult:
         """Fold per-domain payloads into one result, in domain order.
 
-        The single merge function both the serial and the sharded path
-        finalize through: payloads sort by domain index, cycles and
-        event counts fold in that fixed order, so worker count and
-        shard layout are structurally invisible in the result.
+        Payloads sort by domain index and cycles and event counts fold
+        in that fixed order, so the heap's interleaving of domains is
+        invisible in the result.
         """
         payloads = sorted(payloads, key=lambda payload: payload["domain"])
         if len(payloads) != self.domains:
@@ -166,9 +121,8 @@ class MultiRingStream:
             per_packet_breakdown={
                 c: cycles.get(c, 0.0) / measured for c in Component
             },
-            # No machine-metrics snapshot: account/domain ids are
-            # process-local, and a sharded run's workers would number
-            # them differently than the serial reference.
+            # No machine-metrics snapshot: account ids are
+            # process-local.
             metrics=None,
         )
 

@@ -134,8 +134,8 @@ register_benchmark(
             if fast
             else MultiRingStream()
         ),
-        description="N independent stream domains, one ring each "
-        "(event-kernel scaling benchmark; shards with REPRO_SHARDS)",
+        description="N independent stream domains, one ring each, "
+        "interleaved on one event heap",
         figure12=False,
     )
 )

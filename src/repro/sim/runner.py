@@ -39,8 +39,8 @@ def run_benchmark(
     """Run one benchmark under one mode on one setup.
 
     All run-shaping knobs travel in ``config`` — one frozen
-    :class:`~repro.config.RunConfig` record (datapath build, shard
-    count, observation, timeline window, tenancy scenario, sizing).
+    :class:`~repro.config.RunConfig` record (datapath build,
+    observation, timeline window, tenancy scenario, sizing).
     The run's machines are built for ``config.datapath``.
     ``config=None`` resolves the environment (``RunConfig.from_env()``).
 
@@ -50,10 +50,8 @@ def run_benchmark(
     latency percentiles) on ``result.obs``; ``observe="lite"`` runs the
     counters-first telemetry tier (:mod:`repro.obs.lite`) instead,
     storing its summary on ``result.telemetry`` while keeping the
-    columnar datapath and sharded execution active.  Observation is
-    strictly observational: every modelled number is bit-identical
-    with it on or off.  Shard choice is equally bit-invisible (see
-    :mod:`repro.sim.scheduler`; the parity tests pin this).
+    columnar datapath active.  Observation is strictly observational:
+    every modelled number is bit-identical with it on or off.
     """
     if config is None:
         config = RunConfig.from_env()
@@ -86,8 +84,7 @@ def run_prepared(bench, setup: Setup, mode: Mode, config: RunConfig) -> RunResul
         return _execute(bench, setup, mode, config)
     if config.observe == "lite":
         # The counters-first tier: no trace bus, so the columnar
-        # datapath, intra-run sharding and grid parallelism all stay
-        # active (pinned by test).
+        # datapath stays active (pinned by test).
         from repro.obs.lite import LITE
 
         LITE.start(clock_hz=setup.clock_hz)
@@ -107,7 +104,7 @@ def run_prepared(bench, setup: Setup, mode: Mode, config: RunConfig) -> RunResul
 
 def _execute(bench, setup: Setup, mode: Mode, config: RunConfig) -> RunResult:
     """Run one instantiated workload on the event kernel."""
-    return run_events(bench, setup, mode, config.shards, config.datapath)
+    return run_events(bench, setup, mode, config.datapath)
 
 
 def run_mode_sweep(
@@ -201,8 +198,8 @@ def run_figure12(
     because it shapes this call's fan-out, not a run's semantics.
 
     Every other knob rides in ``config``, which each worker receives
-    inside its cell's task — observation, shards and the datapath build
-    all reach every cell, whatever the workers' environment says.
+    inside its cell's task — observation and the datapath build both
+    reach every cell, whatever the workers' environment says.
     ``config=None`` resolves the environment.
 
     When the process-local tracer is recording the grid runs serially

@@ -1,10 +1,9 @@
-"""Event-scheduled simulation kernel with intra-run domain sharding.
+"""Event-scheduled simulation kernel.
 
 Every workload runs on this kernel.  The paper's datapath is inherently
 per-ring — every rIOMMU structure (rRINGs, rIOTLB entries,
 invalidation) is keyed by ring/domain — so the kernel interleaves
-independent domains in modelled-time order and can spread one big run
-over several cores:
+independent domains in modelled-time order:
 
 * **Actors** (:class:`WorkloadActor`) own one independently-advancing
   piece of the simulation — a device/ring/driver complex — and expose
@@ -24,23 +23,13 @@ over several cores:
   mid-run (:func:`save_checkpoint` / :func:`load_checkpoint`) and
   resumed bit-identically — week-long simulated traces no longer have
   to finish in one process lifetime.
-* **Intra-run domain sharding**: a multi-domain workload's actors
-  partition into shards that advance independently between
-  synchronization events.  Shards execute either serially in-process
-  (the deterministic reference — still one event heap interleaving all
-  domains) or on a worker pool (:func:`run_events` with ``shards`` > 1,
-  i.e. ``RunConfig.shards``), composing with the ``--jobs`` grid
-  fan-out.  Both paths finalize through the workload's single merge
-  function with payloads ordered by domain index, so the sharded result
-  is bit-identical to the serial one by construction.
+* A multi-domain workload (``mstream``, ``tenants``) is one heap
+  interleaving every domain's actors in-process; its domains share no
+  runtime state, so the workload folds their payloads in domain order
+  (``finalize_domains``) once the heap drains.
 
-Both the shard count and the datapath build are arguments: each
-:class:`EventSim` builds its machines for the build it is given, and
-each shard worker's task carries the build.
-
-With a tracer or observer attached the kernel runs serially in-process
-regardless of ``shards`` (worker-process events would never reach this
-process's trace buffer), exactly like the parallel grid runner.
+Each :class:`EventSim` builds its machines for the datapath build it
+is given.
 """
 
 from __future__ import annotations
@@ -50,17 +39,13 @@ import json
 import pickle
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import BUILDS, DEFAULT_BUILD, normalize_shards
+from repro.config import BUILDS, DEFAULT_BUILD
 from repro.modes import Mode
 from repro.obs.lite import LITE, _machine_of
 from repro.obs.tracer import TRACE
 from repro.perf.cycles import CycleAccount, MonotonicClock
 from repro.sim.results import RunResult
 from repro.sim.setups import Setup
-
-# The shard knob's environment spelling lives in repro.config (read only
-# by RunConfig.from_env); the historical name stays importable here.
-from repro.config import SHARDS_ENV
 
 #: Schema identifier carried in the header line of every checkpoint file.
 CHECKPOINT_SCHEMA = "riommu-repro/checkpoint/v2"
@@ -75,8 +60,8 @@ class WorkloadActor:
     True while more bursts remain and False once the actor is finished.
     A burst ends at one of the workload's synchronization points, and
     an actor touches no state shared with another actor between two of
-    them, which is what makes any interleaving of actors (and any shard
-    layout) produce the same modelled numbers.
+    them, which is what makes any interleaving of actors produce the
+    same modelled numbers.
 
     Actors are explicit state machines rather than generators so a
     mid-run simulation can be pickled and resumed (generators cannot).
@@ -364,95 +349,13 @@ def load_checkpoint(path) -> EventSim:
     return sim
 
 
-# -- sharded execution ------------------------------------------------------
-
-
-def shard_plan(workload, shards: int) -> Optional[List[Tuple[int, ...]]]:
-    """Partition a workload's domains into ``shards`` round-robin stripes.
-
-    Returns None when sharding does not apply: a single shard requested,
-    a single-domain workload, or a workload without the per-domain
-    protocol (``run_domains``/``finalize_domains``).  Single-domain
-    figure-12 workloads therefore always take the serial reference path
-    no matter how many shards are requested.
-    """
-    domains = int(getattr(workload, "domains", 1))
-    if shards <= 1 or domains <= 1 or not hasattr(workload, "run_domains"):
-        return None
-    shards = min(shards, domains)
-    return [tuple(range(start, domains, shards)) for start in range(shards)]
-
-
-#: One shard's work order, picklable: (workload, setup name, mode label,
-#: domain indices, lite-telemetry flag, datapath build).  The workload
-#: objects are small parameter holders.
-ShardTask = Tuple[object, str, str, Tuple[int, ...], bool, str]
-
-
-def _run_shard(task: ShardTask) -> Dict[str, object]:
-    """Execute one shard's domains (the worker-process entry point).
-
-    Returns ``{"payloads": [...], "telemetry": [...] | None}``.  Under
-    lite telemetry the shard runs its domains one at a time, capturing
-    each finished domain's counters/rings as picklable state; the
-    parent absorbs the states and merges them in domain order, which
-    equals a serial run's registration order — so sharded lite folds
-    are bit-identical to serial ones.
-    """
-    from repro.sim.setups import setup_by_name
-
-    workload, setup_name, mode_label, domain_ids, lite, datapath = task
-    setup = setup_by_name(setup_name)
-    mode = Mode(mode_label)
-    if not lite:
-        return {
-            "payloads": workload.run_domains(setup, mode, domain_ids, datapath),
-            "telemetry": None,
-        }
-    if not LITE.active:
-        # Spawned (rather than forked) worker: open a session of our
-        # own; forked workers inherit the parent's active session.
-        LITE.start()
-    payloads: List[Dict[str, object]] = []
-    states: List[Dict[str, object]] = []
-    for domain in domain_ids:
-        mark = LITE.mark()
-        payloads.extend(workload.run_domains(setup, mode, (domain,), datapath))
-        states.append(LITE.capture_domain(mark, domain))
-    return {"payloads": payloads, "telemetry": states}
-
-
 def run_events(
-    workload,
-    setup: Setup,
-    mode: Mode,
-    shards: int = 1,
-    datapath: str = DEFAULT_BUILD,
+    workload, setup: Setup, mode: Mode, datapath: str = DEFAULT_BUILD
 ) -> RunResult:
-    """Run a workload on the event kernel, sharded when it applies.
+    """Run a workload to completion on one event heap in this process.
 
-    Every machine of the run is built for the ``datapath`` build.  With
-    an applicable shard plan for ``shards`` (``0`` = one per CPU) and no
-    tracer attached, domains fan out over a worker pool and the
-    per-domain payloads merge in domain order; otherwise a single event
-    heap interleaves every actor in modelled-time order in-process.
+    Every machine of the run is built for the ``datapath`` build.
     """
-    plan = shard_plan(workload, normalize_shards(shards))
-    if plan is not None and len(plan) > 1 and not TRACE.active:
-        from repro.sim.parallel import parallel_map
-
-        lite = LITE.active
-        tasks: List[ShardTask] = [
-            (workload, setup.name, mode.label, domain_ids, lite, datapath)
-            for domain_ids in plan
-        ]
-        per_shard = parallel_map(_run_shard, tasks, max_workers=len(plan))
-        payloads = [payload for shard in per_shard for payload in shard["payloads"]]
-        if lite:
-            LITE.absorb(
-                [state for shard in per_shard for state in shard["telemetry"] or []]
-            )
-        return workload.finalize_domains(payloads, setup, mode)
     sim = EventSim(workload, setup, mode, datapath)
     sim.run()
     return sim.result()

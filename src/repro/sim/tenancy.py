@@ -15,8 +15,7 @@ PR-7 event kernel:
   arrival intensity, and an optional p99 latency SLO with a
   ``critical`` flag for the mixed-criticality gate.
 * Contention is **static and deterministic**, derived from the spec
-  before any domain runs, so sharded worker-pool execution stays
-  bit-identical to the serial event heap by construction:
+  before any domain runs, so domains share no runtime state:
 
   - **IOTLB capacity**: the shared IOTLB's entries are divided among
     domains in proportion to demand — each of tenant *t*'s domains gets
@@ -37,12 +36,11 @@ PR-7 event kernel:
 
 * :class:`TenantScenario` lifts the scenario onto the event kernel via
   the same domain protocol as :class:`~repro.sim.multiring.MultiRingStream`
-  (``build_actors`` / ``run_domains`` / ``finalize_domains``), so
-  ``REPRO_SHARDS`` shards it by domain and the serial and sharded paths
-  finalize through one merge function in domain order.  Per-tenant
-  latency distributions are :class:`~repro.obs.metrics.Log2Histogram`
-  instances — integer bucket merges, so p50/p95/p99 are
-  bit-deterministic across any worker count.
+  (``build_actors`` / ``finalize_domains``): one event heap interleaves
+  every domain, and one merge function folds their payloads in domain
+  order.  Per-tenant latency distributions are
+  :class:`~repro.obs.metrics.Log2Histogram` instances — integer bucket
+  merges in that fixed order, so p50/p95/p99 are bit-deterministic.
 
 Registered as ``"tenants"`` with ``figure12=False``: it is a
 contention scenario for the simulator, not a cell of the paper's
@@ -52,7 +50,7 @@ Figure 12 grid, so the golden figure-12 JSON never sees it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import DEFAULT_BUILD
 from repro.modes import Mode
@@ -353,8 +351,7 @@ class TenantScenario:
     :class:`~repro.sim.multiring.MultiRingStream`: domains are globally
     indexed across tenants (tenant order, then domain order within the
     tenant), each domain runs one mode-contended sub-workload actor,
-    and serial/sharded execution finalizes through one merge function
-    in domain order — bit-identical by construction.
+    and one merge function folds their payloads in domain order.
     """
 
     spec: ScenarioSpec = field(default_factory=lambda: preset_scenario("balanced"))
@@ -367,7 +364,7 @@ class TenantScenario:
 
     @property
     def domains(self) -> int:
-        """Total domain count across every tenant (the shard axis)."""
+        """Total domain count across every tenant."""
         return sum(t.domains for t in self.spec.tenants)
 
     def tenant_of(self, domain: int) -> TenantSpec:
@@ -392,7 +389,7 @@ class TenantScenario:
         """The static contention model, as ``Machine(...)`` arguments.
 
         Derived from the spec alone (never from runtime state), so
-        every execution path builds bit-identical machines.
+        every run of the spec builds bit-identical machines.
         """
         qi = self.spec.qi_factor(tenant)
         if mode.is_baseline_iommu:
@@ -465,56 +462,19 @@ class TenantScenario:
     def finalize_events(
         self, actors: List["TenantActor"], setup: Setup, mode: Mode
     ) -> RunResult:
-        """Merge completed actors' payloads (serial event-kernel path)."""
+        """Merge completed actors' payloads."""
         return self.finalize_domains(
             [actor.payload() for actor in actors], setup, mode
         )
-
-    # -- sharding protocol ----------------------------------------------
-
-    def run_domains(
-        self,
-        setup: Setup,
-        mode: Mode,
-        domain_ids: Iterable[int],
-        datapath: str = DEFAULT_BUILD,
-    ) -> List[Dict[str, object]]:
-        """Run the given domains to completion; returns their payloads.
-
-        The shard-worker entry point.  Contention between tenants is
-        entirely static (capacity shares and cost inflation derived
-        from the spec), so domains share no runtime state and the shard
-        layout cannot change any modelled number.
-        """
-        from repro.obs.lite import LITE
-
-        payloads = []
-        for domain in domain_ids:
-            actor = self._build_actor(domain, setup, mode, datapath)
-            if LITE.active:
-                # Prime the monotonic clock like EventSim's heap seeding
-                # does, so burst records carry identical clock readings
-                # on the serial and sharded paths.
-                actor.clock()
-                alive = True
-                while alive:
-                    alive = actor.step()
-                    LITE.on_burst(actor, alive)
-            else:
-                while actor.step():
-                    pass
-            payloads.append(actor.payload())
-        return payloads
 
     def finalize_domains(
         self, payloads: List[Dict[str, object]], setup: Setup, mode: Mode
     ) -> RunResult:
         """Fold per-domain payloads into one result, in domain order.
 
-        The single merge function every execution path finalizes
-        through.  Per-tenant latency histograms merge bucket-wise
-        (integer sums) in domain order, so percentiles are
-        bit-deterministic for any shard/worker layout.
+        Per-tenant latency histograms merge bucket-wise (integer sums)
+        in domain order, so percentiles do not depend on how the heap
+        interleaved the domains.
         """
         payloads = sorted(payloads, key=lambda payload: payload["domain"])
         if len(payloads) != self.domains:
@@ -584,8 +544,8 @@ class TenantScenario:
             per_packet_breakdown={
                 c: cycles.get(c, 0.0) / measured for c in Component
             },
-            # No machine-metrics snapshot: account/domain ids are
-            # process-local and shard-layout-dependent.
+            # No machine-metrics snapshot: account ids are
+            # process-local.
             metrics=None,
         )
 
@@ -664,8 +624,8 @@ class TenantActor(WorkloadActor):
       walks + sync walks) times the §5.3 miss penalty, accumulated as
       device-side cycles separate from the CPU account.
 
-    The wrapper never touches the inner actor's call stream, so the
-    shared-heap and shard-worker paths replay identical simulations.
+    The wrapper never touches the inner actor's call stream, so it
+    changes none of the inner actor's modelled numbers.
     """
 
     def __init__(self, inner: WorkloadActor, tenant: TenantSpec, mode: Mode) -> None:

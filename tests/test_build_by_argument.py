@@ -9,11 +9,8 @@ construction and every hot path reads it from an object it holds, so
   step.
 """
 
-import itertools
-
 import pytest
 
-import repro.iommu.page_table as page_table
 from repro.config import RunConfig
 from repro.core.driver import RIommuDriver
 from repro.devices.nic import SimulatedNic
@@ -115,17 +112,12 @@ WORKLOADS = {
 }
 
 
-def _pair(monkeypatch, mode, workload):
+def _pair(mode, workload):
     """A scalar and a columnar simulation of ``workload`` under ``mode``."""
-
-    def build(datapath):
-        # Protection-domain ids come from a process-wide counter and are
-        # written into memory (QI descriptor tags), so each machine gets
-        # the same numbering a machine built first in a process would.
-        monkeypatch.setattr(page_table, "_domain_ids", itertools.count(1))
-        return EventSim(WORKLOADS[workload](), MLX_SETUP, mode, datapath)
-
-    return build("scalar"), build("columnar")
+    return tuple(
+        EventSim(WORKLOADS[workload](), MLX_SETUP, mode, datapath)
+        for datapath in ("scalar", "columnar")
+    )
 
 
 def _lockstep(scalar, columnar, observe):
@@ -145,8 +137,8 @@ def _lockstep(scalar, columnar, observe):
 @pytest.mark.parametrize(
     "mode", [Mode.STRICT, Mode.DEFER, Mode.RIOMMU], ids=lambda m: m.label
 )
-def test_scalar_and_columnar_machines_step_in_lockstep(monkeypatch, mode, workload):
-    scalar, columnar = _pair(monkeypatch, mode, workload)
+def test_scalar_and_columnar_machines_step_in_lockstep(mode, workload):
+    scalar, columnar = _pair(mode, workload)
     assert not scalar.actors[0].machine.columnar
     assert columnar.actors[0].machine.columnar
     assert isinstance(scalar.actors[0].driver, NetDriver)
@@ -173,5 +165,15 @@ _MEMO_LRU = pytest.mark.xfail(
     ],
     ids=["strict-stream", "defer-stream", "strict-rr", "defer-rr"],
 )
-def test_iotlb_statistics_agree_between_builds(monkeypatch, mode, workload):
-    _lockstep(*_pair(monkeypatch, mode, workload), _iotlb)
+def test_iotlb_statistics_agree_between_builds(mode, workload):
+    _lockstep(*_pair(mode, workload), _iotlb)
+
+
+def test_identical_machines_in_one_process_end_with_identical_memory():
+    # Strict unmaps write the domain id into memory as a QI descriptor
+    # tag; each machine's IOMMU numbers its own domains, so building one
+    # machine does not change the bytes the next one writes.
+    first, second = (
+        EventSim(WORKLOADS["stream"](), MLX_SETUP, Mode.STRICT) for _ in range(2)
+    )
+    _lockstep(first, second, _observables)

@@ -1,8 +1,15 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
+
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 def test_list_prints_every_experiment(capsys):
@@ -24,6 +31,18 @@ def test_parser_offers_exactly_the_two_builds_and_no_engine():
     for argv in (["table1", "--datapath", "batched"], ["table1", "--engine", "loop"]):
         with pytest.raises(SystemExit):
             parser.parse_args(argv)
+
+
+def test_retired_shards_flag_is_an_unknown_argument():
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "tenants", "--fast", "--shards", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "--shards" in proc.stderr
 
 
 def test_run_single_experiment(capsys):

@@ -1,13 +1,11 @@
-"""Event-kernel parity: the kernel reproduces the golden grid, sharded or not.
+"""Event-kernel parity: the kernel reproduces the golden grid.
 
 Every figure-12 cell runs on the event-scheduled kernel.  Its contract:
-with observers on or off, and for any shard count, it produces the
-modelled numbers of ``tests/data/figure12_fast_golden.json`` — which
-was recorded before the kernel existed, by the fixed call-order loop it
-replaced — bit-for-bit.  The multi-ring workload must additionally be
-bit-identical between the serial event heap (the reference) and
-sharded worker-pool execution: shard count, like ``--jobs``, is
-invisible in the results.
+with observers on or off it produces the modelled numbers of
+``tests/data/figure12_fast_golden.json`` — which was recorded before
+the kernel existed, by the fixed call-order loop it replaced —
+bit-for-bit.  The multi-ring workload must additionally give the same
+result traced and untraced.
 """
 
 from __future__ import annotations
@@ -22,8 +20,8 @@ from repro.modes import ALL_MODES, Mode
 from repro.obs.tracer import TRACE
 from repro.sim.multiring import MultiRingStream
 from repro.sim.registry import BENCHMARKS
-from repro.sim.runner import BENCHMARK_NAMES, run_benchmark, run_prepared
-from repro.sim.scheduler import SHARDS_ENV, run_events
+from repro.sim.runner import BENCHMARK_NAMES, run_benchmark
+from repro.sim.scheduler import run_events
 from repro.sim.setups import MLX_SETUP
 
 GOLDEN = json.loads(
@@ -32,8 +30,7 @@ GOLDEN = json.loads(
 
 
 @pytest.fixture(autouse=True)
-def _clean_state(monkeypatch):
-    monkeypatch.delenv(SHARDS_ENV, raising=False)
+def _clean_state():
     TRACE.reset()
     yield
     TRACE.reset()
@@ -61,40 +58,17 @@ def test_parity_matrix(mode, observe):
 
 @pytest.mark.parametrize("bench_name", BENCHMARK_NAMES)
 def test_every_benchmark_is_engine_invariant(bench_name):
-    # Single-domain workloads always take the serial heap, whatever
-    # shard count is requested.
     for mode in (Mode.STRICT, Mode.RIOMMU):
         golden = GOLDEN["mlx"][bench_name][mode.label]
-        for shards in (1, 4):
-            config = RunConfig(fast=True, shards=shards)
-            result = run_benchmark(MLX_SETUP, mode, bench_name, config=config)
-            assert result.to_dict() == golden, (bench_name, mode.label, shards)
+        config = RunConfig(fast=True)
+        result = run_benchmark(MLX_SETUP, mode, bench_name, config=config)
+        assert result.to_dict() == golden, (bench_name, mode.label)
 
 
-# -- multi-ring: serial events == sharded events -------------------------
+# -- multi-ring -----------------------------------------------------------
 
 
 _MSTREAM = dict(domains=4, packets=120, warmup=30)
-
-
-@pytest.mark.parametrize("mode", [Mode.STRICT, Mode.DEFER, Mode.RIOMMU],
-                         ids=lambda m: m.label)
-def test_mstream_sharding_is_invisible(mode):
-    serial = run_events(MultiRingStream(**_MSTREAM), MLX_SETUP, mode, shards=1)
-    sharded = run_events(MultiRingStream(**_MSTREAM), MLX_SETUP, mode, shards=4)
-    assert sharded.to_dict() == serial.to_dict()
-
-
-def test_mstream_shards_env_knob(monkeypatch):
-    """``REPRO_SHARDS`` reaches a run through ``RunConfig.from_env()``."""
-    serial = run_events(MultiRingStream(**_MSTREAM), MLX_SETUP, Mode.STRICT)
-    monkeypatch.setenv(SHARDS_ENV, "2")
-    config = RunConfig.from_env()
-    assert config.shards == 2
-    sharded = run_prepared(
-        MultiRingStream(**_MSTREAM), MLX_SETUP, Mode.STRICT, config
-    )
-    assert sharded.to_dict() == serial.to_dict()
 
 
 def test_mstream_registered_but_not_figure12():
@@ -104,17 +78,13 @@ def test_mstream_registered_but_not_figure12():
 
 
 def test_mstream_runs_serially_while_tracing():
-    """With a tracer attached the sharded path must stay in-process —
-    worker events could never reach this process's trace buffer."""
+    """A traced multi-domain run records its events in this process and
+    models the same numbers as an untraced one."""
     TRACE.enable()
     try:
-        result = run_events(
-            MultiRingStream(**_MSTREAM), MLX_SETUP, Mode.RIOMMU, shards=4
-        )
+        result = run_events(MultiRingStream(**_MSTREAM), MLX_SETUP, Mode.RIOMMU)
         assert len(TRACE.events) > 0
     finally:
         TRACE.disable()
-    reference = run_events(
-        MultiRingStream(**_MSTREAM), MLX_SETUP, Mode.RIOMMU, shards=1
-    )
+    reference = run_events(MultiRingStream(**_MSTREAM), MLX_SETUP, Mode.RIOMMU)
     assert result.to_dict() == reference.to_dict()

@@ -4,8 +4,8 @@ import pytest
 
 from repro.dma import DmaDirection
 from repro.faults import IoPageFault
-from repro.iommu import BaselineIommuDriver, Iommu, RadixPageTable, make_bdf
-from repro.memory import CoherencyDomain, MemorySystem
+from repro.iommu import BaselineIommuDriver, Iommu, make_bdf
+from repro.memory import MemorySystem
 from repro.modes import Mode
 from tests.dma_helpers import dma_map, dma_unmap
 
@@ -23,11 +23,19 @@ def shared():
 
 
 def test_domain_ids_are_unique():
-    mem = MemorySystem(size_bytes=1 << 24)
-    coherency = CoherencyDomain(coherent=True)
-    a = RadixPageTable(mem, coherency)
-    b = RadixPageTable(mem, coherency)
-    assert a.domain_id != b.domain_id
+    mem = MemorySystem(size_bytes=1 << 26)
+    iommu = Iommu(mem)
+    a = BaselineIommuDriver(mem, iommu, BDF_A, Mode.STRICT)
+    b = BaselineIommuDriver(mem, iommu, BDF_B, Mode.STRICT)
+    assert a.page_table.domain_id != b.page_table.domain_id
+
+
+def test_domain_ids_are_scoped_to_one_iommu():
+    # Each remapping unit numbers its own domains, so a machine's ids
+    # do not depend on how many units the process built before it.
+    first, second = (Iommu(MemorySystem(size_bytes=1 << 24)) for _ in range(2))
+    assert first.allocate_domain_id() == second.allocate_domain_id() == 1
+    assert first.allocate_domain_id() == 2
 
 
 def test_alias_device_shares_mappings(shared):

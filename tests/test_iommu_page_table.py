@@ -19,7 +19,7 @@ from repro.memory import CoherencyDomain, MemorySystem, PAGE_SIZE, iova_from_vpn
 def table():
     mem = MemorySystem(size_bytes=1 << 26)
     coherency = CoherencyDomain(coherent=False)
-    return RadixPageTable(mem, coherency)
+    return RadixPageTable(mem, coherency, domain_id=1)
 
 
 def test_perms_from_direction():
@@ -137,7 +137,7 @@ def test_walker_sees_flushed_updates_only(table):
 @given(st.sets(st.integers(min_value=0, max_value=(1 << 30)), min_size=1, max_size=40))
 def test_property_map_resolve_roundtrip(vpns):
     mem = MemorySystem(size_bytes=1 << 26)
-    table = RadixPageTable(mem, CoherencyDomain(coherent=True))
+    table = RadixPageTable(mem, CoherencyDomain(coherent=True), domain_id=1)
     mapping = {}
     for vpn in vpns:
         phys = mem.allocator.alloc_page()

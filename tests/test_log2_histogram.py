@@ -98,12 +98,14 @@ def _observe_all(samples):
     return hist
 
 
-@pytest.mark.parametrize("shards", [1, 2, 3, 7])
-def test_merge_is_bit_identical_across_shard_counts(shards):
+@pytest.mark.parametrize("parts", [1, 2, 3, 7])
+def test_merge_is_bit_identical_across_partitions(parts):
+    # Histograms observed over disjoint slices of the samples (one per
+    # domain, say) merge back into the histogram of the whole.
     whole = _observe_all(SAMPLES)
     merged = Log2Histogram("cycles")
-    for i in range(shards):
-        merged.merge(_observe_all(SAMPLES[i::shards]))
+    for i in range(parts):
+        merged.merge(_observe_all(SAMPLES[i::parts]))
     assert merged.buckets == whole.buckets
     assert merged.count == whole.count
     assert merged.min == whole.min and merged.max == whole.max

@@ -2,12 +2,12 @@
 
 The tier's contract, pinned here:
 
-* ``observe="lite"`` keeps the columnar fast path and the sharded
-  event kernel **active** (the full-trace tier vetoes both), while the
-  modelled results stay bit-identical to an unobserved run.
+* ``observe="lite"`` keeps the columnar fast path **active** (the
+  full-trace tier vetoes it), while the modelled results stay
+  bit-identical to an unobserved run.
 * Lite counters reconcile **bit-exactly** with the full-trace
-  ``CycleProfiler`` folds in every figure-12 mode, and a sharded lite
-  run's telemetry is bit-identical to the serial reference's.
+  ``CycleProfiler`` folds in every figure-12 mode and on the
+  multi-domain ``mstream`` run.
 * The flight recorder freezes its last-N rings when a fault is raised
   and the dump round-trips through ``telemetry/v1`` validation.
 * The ``RunMonitor`` emits parseable heartbeat JSONL with progress,
@@ -123,36 +123,11 @@ def test_lite_keeps_the_columnar_fast_path_active(monkeypatch):
     assert calls["n"] == 0
 
 
-def test_lite_keeps_intra_run_sharding_active(monkeypatch):
-    from repro.sim import parallel
-
-    fanouts = []
-    original = parallel.parallel_map
-
-    def spy(fn, items, max_workers, chunksize=1):
-        fanouts.append(len(items))
-        return original(fn, items, max_workers, chunksize)
-
-    monkeypatch.setattr(parallel, "parallel_map", spy)
-    result = _lite(Mode.RIOMMU, benchmark="mstream", shards=4)
-    assert fanouts == [4], "lite telemetry must not force shards serial"
-    assert result.telemetry["profile"]["reconciles"] is True
-
-
-def test_sharded_lite_telemetry_is_bit_identical_to_serial():
-    serial = _lite(Mode.RIOMMU, benchmark="mstream", shards=1)
-    sharded = _lite(Mode.RIOMMU, benchmark="mstream", shards=4)
-    assert sharded.to_dict() == serial.to_dict()
-    # The whole telemetry summary — counters, machine gauges, flight-
-    # recorder rings — is shard-invariant, not just the results.
-    assert sharded.telemetry == serial.telemetry
-
-
-def test_sharded_lite_matches_the_full_trace_profiler_on_mstream():
-    sharded = _lite(Mode.STRICT, benchmark="mstream", shards=4)
-    full = _full(Mode.STRICT, benchmark="mstream")  # trace forces serial
+def test_lite_matches_the_full_trace_profiler_on_mstream():
+    lite = _lite(Mode.STRICT, benchmark="mstream")
+    full = _full(Mode.STRICT, benchmark="mstream")
     for key in _PROFILE_KEYS:
-        assert sharded.telemetry["profile"][key] == full.obs["profile"][key], key
+        assert lite.telemetry["profile"][key] == full.obs["profile"][key], key
 
 
 # -- flight recorder -------------------------------------------------------

@@ -7,9 +7,8 @@ the parent's config bit-identically inside their task, never from the
 environment.
 """
 
-import os
 import pickle
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -18,7 +17,6 @@ from repro.config import (
     DEFAULT_BUILD,
     ENV_VARS,
     OBSERVE_ENV,
-    SHARDS_ENV,
     TENANCY_ENV,
     TIMELINE_WINDOW_ENV,
     RunConfig,
@@ -43,10 +41,14 @@ def test_defaults_match_the_documented_knob_defaults():
     config = RunConfig()
     assert config.fast is False
     assert config.datapath == DEFAULT_BUILD
-    assert config.shards == 1
     assert config.observe == "off"
     assert config.timeline_window is None
     assert config.tenancy is None
+
+
+def test_config_has_exactly_the_documented_fields():
+    names = [field.name for field in fields(RunConfig)]
+    assert names == ["fast", "datapath", "observe", "timeline_window", "tenancy"]
 
 
 def test_config_is_frozen():
@@ -83,13 +85,6 @@ def test_observe_env_round_trips_every_level():
         RunConfig.from_env({OBSERVE_ENV: "verbose"})
 
 
-def test_shards_normalize_at_construction():
-    assert RunConfig(shards=4).shards == 4
-    per_cpu = RunConfig(shards=0).shards
-    assert per_cpu == (os.cpu_count() or 1)
-    assert RunConfig(shards=-3).shards == per_cpu
-
-
 # -- the environment and the task ----------------------------------------
 
 
@@ -98,7 +93,6 @@ def test_config_pickles_with_every_field():
     config = RunConfig(
         fast=True,
         datapath="scalar",
-        shards=4,
         observe=True,
         timeline_window=5000.0,
         tenancy=preset_scenario("critical"),
@@ -111,13 +105,11 @@ def test_config_pickles_with_every_field():
 def test_from_env_reads_the_documented_variables():
     env = {
         DATAPATH_ENV: "scalar",
-        SHARDS_ENV: "3",
         OBSERVE_ENV: "1",
         TIMELINE_WINDOW_ENV: "250000.0",
     }
     config = RunConfig.from_env(env)
     assert config.datapath == "scalar"
-    assert config.shards == 3
     assert config.observe == "full"
     assert config.timeline_window == 250000.0
 
@@ -129,6 +121,16 @@ def test_foreign_repro_variables_are_ignored():
     assert RunConfig.from_env(env) == RunConfig()
 
 
+@pytest.mark.parametrize("value", ["2", "1", ""])
+def test_retired_shards_variable_is_refused(value):
+    # Intra-run sharding is gone; a run that asks for it must not
+    # silently run serially.
+    with pytest.raises(ValueError, match="REPRO_SHARDS"):
+        RunConfig.from_env({"REPRO_SHARDS": value})
+    with pytest.raises(TypeError):
+        RunConfig(shards=2)
+
+
 # -- the runner takes knobs only as config= ------------------------------
 
 
@@ -137,7 +139,7 @@ def test_config_argument_passes_through_unchanged(monkeypatch):
     monkeypatch.setattr(
         runner, "run_with_config", lambda *args: seen.append(args[-1])
     )
-    config = RunConfig(fast=True, shards=2)
+    config = RunConfig(fast=True, datapath="scalar")
     runner.run_benchmark(MLX_SETUP, Mode.STRICT, "rr", config=config)
     runner.run_mode_sweep(MLX_SETUP, "rr", modes=(Mode.NONE,), config=config)
     assert seen == [config, config]
@@ -149,10 +151,10 @@ def test_default_config_is_read_from_the_environment(monkeypatch):
     monkeypatch.setattr(
         runner, "run_with_config", lambda *args: seen.append(args[-1])
     )
-    monkeypatch.setenv(SHARDS_ENV, "3")
+    monkeypatch.setenv(DATAPATH_ENV, "scalar")
     monkeypatch.setenv(OBSERVE_ENV, "lite")
     runner.run_benchmark(MLX_SETUP, Mode.STRICT, "rr")
-    assert seen == [RunConfig(shards=3, observe="lite")]
+    assert seen == [RunConfig(datapath="scalar", observe="lite")]
 
 
 def test_legacy_run_kwargs_are_gone():
@@ -174,7 +176,6 @@ def test_worker_pool_reconstructs_an_identical_config():
 
     config = RunConfig(
         datapath="scalar",
-        shards=2,
         observe=True,
         tenancy=preset_scenario("aggressor"),
     )

@@ -1,23 +1,20 @@
 """Unit tests for the event-scheduled simulation kernel.
 
-Covers the kernel's plain-data pieces in isolation: shard knob
-parsing, the monotonic cycle clock, the deterministic event heap,
-bounded EventSim runs, the round-robin shard planner, and the
-checkpoint guards (tracer refusal, the header checked before any
+Covers the kernel's plain-data pieces in isolation: the monotonic
+cycle clock, the deterministic event heap, bounded EventSim runs, and
+the checkpoint guards (tracer refusal, the header checked before any
 unpickling, the restricted unpickler, datapath-build validation).  The
-golden and shard parity matrix lives in ``test_event_parity.py``;
-checkpoint/resume determinism in ``test_checkpoint.py``.
+golden parity matrix lives in ``test_event_parity.py``; checkpoint/
+resume determinism in ``test_checkpoint.py``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pickle
 
 import pytest
 
-from repro.config import RunConfig, normalize_shards
 from repro.modes import Mode
 from repro.obs.tracer import TRACE
 from repro.perf.cycles import Component, CycleAccount, MonotonicClock
@@ -25,7 +22,6 @@ from repro.sim.netperf import NetperfRR
 from repro.sim.multiring import MultiRingStream
 from repro.sim.scheduler import (
     CHECKPOINT_SCHEMA,
-    SHARDS_ENV,
     CheckpointBuildError,
     CheckpointError,
     EventScheduler,
@@ -33,30 +29,15 @@ from repro.sim.scheduler import (
     load_checkpoint,
     run_events,
     save_checkpoint,
-    shard_plan,
 )
 from repro.sim.setups import MLX_SETUP
 
 
 @pytest.fixture(autouse=True)
-def _clean_knobs(monkeypatch):
-    monkeypatch.delenv(SHARDS_ENV, raising=False)
+def _clean_tracer():
     TRACE.reset()
     yield
     TRACE.reset()
-
-
-# -- shard knob resolution -----------------------------------------------
-
-
-def test_resolve_shards_defaults_env_and_cpu():
-    assert RunConfig.from_env({}).shards == 1
-    assert normalize_shards(3) == 3
-    assert RunConfig.from_env({SHARDS_ENV: "5"}).shards == 5
-    assert RunConfig.from_env({SHARDS_ENV: "not-a-number"}).shards == 1
-    # 0 and negatives mean one shard per CPU.
-    assert normalize_shards(0) == (os.cpu_count() or 1)
-    assert normalize_shards(-2) == (os.cpu_count() or 1)
 
 
 # -- the monotonic cycle clock -------------------------------------------
@@ -150,28 +131,6 @@ def test_event_sim_counts_multi_domain_actors():
     assert len(sim.actors) == 3
     assert sorted(actor.domain for actor in sim.actors) == [0, 1, 2]
     assert len(sim.scheduler) == 3
-
-
-# -- shard planning ------------------------------------------------------
-
-
-def test_shard_plan_round_robin_stripes():
-    workload = MultiRingStream(domains=8)
-    assert shard_plan(workload, 4) == [
-        (0, 4),
-        (1, 5),
-        (2, 6),
-        (3, 7),
-    ]
-    # More shards than domains clamps to one domain per shard.
-    assert shard_plan(workload, 100) == [(d,) for d in range(8)]
-
-
-def test_shard_plan_inapplicable_cases():
-    assert shard_plan(MultiRingStream(domains=8), 1) is None
-    assert shard_plan(MultiRingStream(domains=1), 4) is None
-    # Single-domain figure-12 workloads have no per-domain protocol.
-    assert shard_plan(_small_rr(), 4) is None
 
 
 def test_every_registered_workload_runs_on_the_kernel():

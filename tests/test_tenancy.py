@@ -2,8 +2,8 @@
 
 Three claims under test:
 
-* **Determinism** — the scenario is bit-identical across the loop
-  engine, the serial event kernel, and any shard count, including the
+* **Determinism** — the scenario is bit-identical whether it runs
+  through the runner or straight on the event kernel, including the
   per-tenant latency percentiles (integer histogram-bucket merges).
 * **Interference** — a victim tenant's p99 latency under the shared
   baseline IOMMU degrades monotonically as an aggressor's intensity
@@ -21,6 +21,7 @@ from repro.config import RunConfig
 from repro.modes import Mode
 from repro.sim.registry import BENCHMARKS, make_benchmark
 from repro.sim.runner import run_with_config
+from repro.sim.scheduler import EventSim, run_events
 from repro.sim.setups import MLX_SETUP
 from repro.sim.tenancy import (
     SCENARIO_PRESETS,
@@ -32,8 +33,8 @@ from repro.sim.tenancy import (
 )
 
 
-def _run(scenario, mode, shards=1):
-    config = RunConfig(fast=True, shards=shards, tenancy=scenario)
+def _run(scenario, mode):
+    config = RunConfig(fast=True, tenancy=scenario)
     return run_with_config(MLX_SETUP, mode, "tenants", config)
 
 
@@ -134,18 +135,21 @@ def test_make_benchmark_threads_the_config_tenancy():
 
 @pytest.mark.parametrize("mode", (Mode.STRICT, Mode.RIOMMU))
 def test_bit_identical_across_engines_and_shard_counts(mode):
+    # The name predates the removal of the loop engine and of intra-run
+    # sharding; what is left is the runner against the bare kernel.
     scenario = preset_scenario("balanced")
-    reference = _run(scenario, mode, shards=1)
-    for shards in (2, 4):
-        other = _run(scenario, mode, shards=shards)
-        assert other.to_dict() == reference.to_dict(), shards
-        assert other.tenants == reference.tenants, shards
+    reference = _run(scenario, mode)
+    other = run_events(TenantScenario(spec=scenario, fast=True), MLX_SETUP, mode)
+    assert other.to_dict() == reference.to_dict()
+    assert other.tenants == reference.tenants
 
 
 def test_finalize_is_invariant_to_payload_permutation():
     scenario = preset_scenario("balanced")
     bench = TenantScenario(spec=scenario, fast=True)
-    payloads = bench.run_domains(MLX_SETUP, Mode.STRICT, range(bench.domains))
+    sim = EventSim(bench, MLX_SETUP, Mode.STRICT)
+    sim.run()
+    payloads = [actor.payload() for actor in sim.actors]
     forward = bench.finalize_domains(list(payloads), MLX_SETUP, Mode.STRICT)
     shuffled = bench.finalize_domains(
         list(reversed(payloads)), MLX_SETUP, Mode.STRICT
